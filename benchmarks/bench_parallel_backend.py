@@ -1,10 +1,12 @@
 """Real-parallel backend benchmark: LBE speedup in actual seconds.
 
-Measures the query phase of the process backend
-(:class:`~repro.parallel.ParallelSearchEngine` — real OS workers over
-a memmap-shared fragment arena) against the in-process serial query
-phase *on the same kernels*, for LBE (cyclic) and naive (chunk)
-partitioning at 1/2/3 workers.  This is the paper's headline claim —
+Measures the query phase of the process backend (a
+:class:`~repro.service.SearchService` session — resident OS workers
+over a memmap-shared fragment arena) against the in-process serial
+query phase *on the same kernels*, for LBE (cyclic) and naive (chunk)
+partitioning at 1/2/3 workers.  Each policy × worker count is one
+session; its figures are the best of repeated submits of the whole
+query set.  This is the paper's headline claim —
 wall-clock speedup from load-balanced parallel peptide search —
 finally measured on real processes instead of virtual clocks.
 
@@ -13,7 +15,8 @@ Metrics (all real seconds, written to ``BENCH_parallel.json``):
 * ``serial_s.query`` — the in-process query phase over the full
   database (the 1-worker baseline, same rank body as the workers),
 * per config (policy × workers): each worker's query wall and CPU
-  seconds, the master-observed parallel-section wall, and phase times,
+  seconds, the master-observed parallel-section wall, phase times,
+  and the session's ``open_s`` (spawn + arena spill + attach),
 * ``speedup.query_dedicated_Nw`` — serial query seconds over the
   slowest worker's query **CPU** seconds.  Worker CPU time equals the
   wall-clock a worker would take with a dedicated core, so this is
@@ -45,11 +48,11 @@ from pathlib import Path
 
 from repro.db.proteome import ProteomeConfig
 from repro.index.slm import SLMIndexSettings
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.metrics import load_imbalance
 from repro.search.rank import build_rank_index, run_rank_queries
 from repro.search.serial import SerialSearchEngine
+from repro.service import SearchService, ServiceConfig
 from repro.spectra.preprocess import PreprocessConfig, preprocess_spectrum
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
 
@@ -94,8 +97,8 @@ def run(quick: bool = False) -> dict:
     serial_reference = SerialSearchEngine(db, settings).run(spectra)
 
     # Serial query-phase baseline: the identical rank body, one
-    # in-process "rank" owning the whole database.  Build once (the
-    # engines amortize builds the same way), time the query phase.
+    # in-process "rank" owning the whole database.  Build once (a
+    # session amortizes builds the same way), time the query phase.
     arena = db.arena_for(settings.fragmentation)
     arena.buckets_for(settings.resolution)
     arena.sort_order_for(settings.resolution)
@@ -113,23 +116,19 @@ def run(quick: bool = False) -> dict:
     identical = True
     for policy in ("cyclic", "chunk"):
         for n_workers in worker_counts:
-            engine = ParallelSearchEngine(
-                db,
-                ParallelEngineConfig(
-                    n_workers=n_workers, policy=policy, index=settings
-                ),
+            config = ServiceConfig(
+                n_workers=n_workers, policy=policy, index=settings
             )
             best = None
-            spill_s = None
-            for _ in range(repeats):
-                res = engine.run(spectra)
-                # The engine spills once and caches; only the first
-                # run's spill time is the real cost.
-                if spill_s is None:
-                    spill_s = res.phase_times["spill"]
-                identical = identical and same_results(serial_reference, res)
-                if best is None or res.phase_times["query_cpu"] < best.phase_times["query_cpu"]:
-                    best = res
+            with SearchService(db, config) as service:
+                for _ in range(repeats):
+                    res, _stats = service.submit(spectra)
+                    identical = identical and same_results(
+                        serial_reference, res
+                    )
+                    if best is None or res.phase_times["query_cpu"] < best.phase_times["query_cpu"]:
+                        best = res
+                open_s = service.open_s
             configs[f"{policy}_{n_workers}w"] = {
                 "policy": policy,
                 "n_workers": n_workers,
@@ -144,7 +143,7 @@ def run(quick: bool = False) -> dict:
                 "build_wall_max_s": max(s.build_time for s in best.rank_stats),
                 "parallel_wall_s": best.phase_times["parallel_wall"],
                 "parallel_overhead_s": best.phase_times["parallel_overhead"],
-                "spill_s": spill_s,
+                "open_s": open_s,
                 "per_worker_entries": [s.n_entries for s in best.rank_stats],
             }
 

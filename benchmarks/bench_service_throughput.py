@@ -3,10 +3,10 @@
 Measures what the persistent service (:mod:`repro.service`) actually
 amortizes, on a stream of identical-shape query batches:
 
-* **one-shot** — a fresh :class:`~repro.parallel.ParallelSearchEngine`
-  per batch: every batch pays worker spawn + interpreter import +
-  arena attach (~0.5 s on a laptop-class host) and pickles the
-  preprocessed peak arrays to every worker,
+* **one-shot** — a fresh :class:`~repro.service.SearchService`
+  session per batch, timed open → submit → close: every batch pays
+  worker spawn + interpreter import + arena spill + attach (~0.5 s on
+  a laptop-class host) and the pool shutdown,
 * **resident** — one :class:`~repro.service.SearchService` session:
   spawn + spill + attach are paid once in ``open()``; each
   ``submit()`` pickles only an O(manifest) command per worker and the
@@ -31,8 +31,9 @@ Metrics written to ``BENCH_service.json``:
   wall time that ran behind worker rounds,
 * ``resident.open_s`` vs ``resident.steady_batch_s`` — the amortized
   session cost against the steady-state latency floor,
-* ``scatter.*`` — pickled bytes per batch before (peak arrays to every
-  worker) and after (manifest commands): O(peaks) → O(manifest),
+* ``scatter.*`` — pickled bytes per batch if the preprocessed peak
+  arrays were pickled to every worker, against the session's actual
+  manifest commands: O(peaks) → O(manifest),
 * ``observability.*`` — steady-state latency of three paired sessions
   (bare, in-memory flight recorder, JSONL file tracer);
   ``overhead_ratio`` and ``ring_overhead_ratio`` are what the
@@ -72,7 +73,6 @@ from repro.obs import (
     MetricsRegistry,
     validate_trace_file,
 )
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig, aggregate_batch_stats
@@ -128,24 +128,23 @@ def run(quick: bool = False) -> dict:
     references = [serial.run(batch) for batch in batches]
     identical = True
 
-    # -- one-shot: a fresh engine (fresh spawn) per batch ---------------
+    # -- one-shot: a fresh session (fresh spawn) per batch --------------
     oneshot_totals = []
-    oneshot_scatter = 0
+    peak_scatter = 0
     for i, batch in enumerate(batches):
-        engine = ParallelSearchEngine(
-            db,
-            ParallelEngineConfig(n_workers=N_WORKERS, index=settings),
-        )
-        res = engine.run(batch)
+        t0 = time.perf_counter()
+        with SearchService(
+            db, ServiceConfig(n_workers=N_WORKERS, index=settings)
+        ) as service:
+            res, _stats = service.submit(batch)
+        oneshot_totals.append(time.perf_counter() - t0)
         identical = identical and same_results(references[i], res)
-        oneshot_totals.append(res.phase_times["total"])
-        # What the one-shot scatter pickles per batch: the preprocessed
-        # peak arrays, to every worker.
+        # The scatter baseline: the preprocessed peak arrays pickled to
+        # every worker, which the memmap-shared spectra store avoids.
         processed = preprocess_batch(batch, PreprocessConfig())
-        oneshot_scatter = max(
-            oneshot_scatter, len(pickle.dumps(processed)) * N_WORKERS
+        peak_scatter = max(
+            peak_scatter, len(pickle.dumps(processed)) * N_WORKERS
         )
-        del engine
 
     # -- resident: one session, the same stream ------------------------
     resident_totals = []
@@ -284,10 +283,10 @@ def run(quick: bool = False) -> dict:
             "pipeline_depth_max": depth_max,
         },
         "scatter": {
-            "oneshot_pickled_bytes_per_batch": oneshot_scatter,
+            "peak_pickled_bytes_per_batch": peak_scatter,
             "resident_pickled_bytes_per_batch": resident_scatter,
             "resident_peak_bytes_equivalent": peak_bytes,
-            "pickled_ratio": resident_scatter / oneshot_scatter,
+            "pickled_ratio": resident_scatter / peak_scatter,
         },
         "speedup": {
             # The headline: spawn + import + attach paid once per
@@ -326,8 +325,9 @@ def run(quick: bool = False) -> dict:
         },
         "identical_results": bool(identical),
         "note": (
-            "oneshot.mean_batch_s includes per-run worker spawn + import "
-            "+ arena attach; resident.steady_batch_s is a submit() on an "
+            "oneshot.mean_batch_s is a whole open -> submit -> close "
+            "session per batch (worker spawn + import + arena spill + "
+            "attach + shutdown); resident.steady_batch_s is a submit() on an "
             "already-attached session (min over batches >= 1); "
             "pipelined.steady_batch_s is the min completion interval of "
             "the overlapped stream (same-session throughput view).  The "
@@ -384,7 +384,7 @@ def main() -> None:
     )
     s = report["scatter"]
     print(
-        f"scatter bytes/batch : {s['oneshot_pickled_bytes_per_batch']} -> "
+        f"scatter bytes/batch : {s['peak_pickled_bytes_per_batch']} -> "
         f"{s['resident_pickled_bytes_per_batch']} "
         f"(x{s['pickled_ratio']:.4f})"
     )

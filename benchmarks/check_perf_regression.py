@@ -37,7 +37,7 @@ Service checks (``--service-baseline``/``--service-fresh``):
    (the session must actually amortize the spawn/spill overhead —
    a service that silently re-attaches per batch lands at ~1.0),
 3. the resident pickled scatter per batch stays <=
-   ``--scatter-ceiling`` of the one-shot pickled spectra payload
+   ``--scatter-ceiling`` of the pickled peak-array payload
    (peak arrays sneaking back into the command pickle is a
    regression even when latency looks fine),
 4. pipelined-vs-sequential steady-state throughput >=
@@ -221,7 +221,7 @@ def check_service(args, failures: list) -> None:
     scatter = fresh.get("scatter", {})
     ratio = float(scatter.get("pickled_ratio", float("nan")))
     print(
-        f"service scatter ratio (resident/oneshot pickled bytes): "
+        f"service scatter ratio (resident/peak-array pickled bytes): "
         f"{ratio:.4f} (required <= {args.scatter_ceiling:.2f})"
     )
     if not ratio <= args.scatter_ceiling:  # catches NaN too
@@ -442,7 +442,7 @@ def main() -> int:
         default=1.02,
         help="minimum rebalanced-vs-frozen steady-latency ratio on the "
         "skewed-host harness (default: 1.02 — the committed figure is "
-        "~1.2x at 2 workers with a 3x-slow rank; the floor only "
+        "~1.6x at 2 workers with a 3x-slow rank; the floor only "
         "requires the migration to not be a loss, with margin for "
         "noisy shared runners)",
     )
@@ -499,7 +499,7 @@ def main() -> int:
         "--scatter-ceiling",
         type=float,
         default=0.1,
-        help="maximum resident/oneshot pickled-bytes ratio per batch "
+        help="maximum resident/peak-array pickled-bytes ratio per batch "
         "(default: 0.1 — the resident command payload is O(manifest), "
         "~0.002 of the pickled peak arrays on the committed workload)",
     )

@@ -19,9 +19,11 @@ Every command is deterministic under ``--seed`` and prints a short
 summary table; ``search`` additionally reports per-policy load
 imbalance when ``--compare-policies`` is set, and runs on real OS
 worker processes over a memmap-shared arena (real wall-clock times,
-identical results) with ``--backend process``.  ``serve`` keeps those
-workers *resident* across an unbounded stream of query batches (MS2
-paths via ``--batch``, or newline-separated on stdin) and prints
+identical results) with ``--backend process`` — a one-shot search
+session: open, submit the whole run as one batch, close.  ``serve``
+keeps the same resident workers across an unbounded stream of query
+batches (MS2 paths via ``--batch``, or newline-separated on stdin)
+and prints
 per-batch latency and scatter accounting; ``--pipeline`` drives the
 stream through the service's overlapped session (preprocess batch N+1
 while the workers query batch N — identical results, higher
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Sequence
@@ -73,10 +76,10 @@ from repro.obs import (
     render_gantt,
     validate_trace_file,
 )
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.database import IndexedDatabase
 from repro.search.engine import DistributedSearchEngine, EngineConfig
 from repro.search.metrics import load_imbalance
+from repro.search.psm import RankStats, SearchResults
 from repro.search.report import write_psm_report
 from repro.service import (
     SearchService,
@@ -128,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("simulated", "process"),
                       help="simulated = threads over the virtual-time "
                       "fabric (deterministic virtual seconds); process = "
-                      "real OS workers over a memmap-shared arena (real "
-                      "wall-clock seconds)")
+                      "a one-shot session of real OS workers over a "
+                      "memmap-shared arena (real wall-clock seconds)")
     srch.add_argument("--policy", default="cyclic",
                       choices=("chunk", "cyclic", "random", "lpt"))
     srch.add_argument("--report", type=Path, default=None,
@@ -169,9 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="MS2 file to submit as one batch (repeatable); "
                      "omitted = read newline-separated MS2 paths from stdin")
     srv.add_argument("--ranks", type=int, default=2)
-    srv.add_argument("--backend", default="process", choices=("process",),
-                     help="resident-worker backend (real OS processes over "
-                     "memmap-shared arena + spectra stores)")
     srv.add_argument("--policy", default="cyclic",
                      choices=("chunk", "cyclic", "random", "lpt"))
     srv.add_argument("--report-dir", type=Path, default=None,
@@ -362,17 +362,32 @@ def _search_once(
     policy: str,
     args: argparse.Namespace,
 ):
-    if getattr(args, "backend", "simulated") == "process":
-        engine = ParallelSearchEngine(
+    if args.backend == "process":
+        if not spectra:
+            # A session rejects empty batches; an empty run has nothing
+            # to dispatch, so report it without spawning workers.
+            return SearchResults(
+                spectra=[],
+                rank_stats=[RankStats(rank=r) for r in range(args.ranks)],
+                phase_times={"total": 0.0},
+                policy_name=policy,
+                n_ranks=args.ranks,
+            )
+        # One-shot job on the resident core: total time is the whole
+        # session, open (spawn + spill + attach) + submit + close.
+        t0 = time.perf_counter()
+        with SearchService(
             db,
-            ParallelEngineConfig(
+            ServiceConfig(
                 n_workers=args.ranks,
                 policy=policy,
                 policy_seed=args.seed,
                 top_k=args.top_k,
             ),
-        )
-        return engine.run(spectra)
+        ) as service:
+            results, _stats = service.submit(spectra)
+        results.phase_times["total"] = time.perf_counter() - t0
+        return results
     engine = DistributedSearchEngine(
         db,
         EngineConfig(
@@ -525,8 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = stack.enter_context(service_cm)
         print(
             f"session: {db.n_entries} entries (from {source}), "
-            f"{topology}, policy {args.policy}, "
-            f"backend {args.backend}, {mode} submits; "
+            f"{topology}, policy {args.policy}, {mode} submits; "
             f"open {service.open_s:.2f} s "
             f"(spawn + arena spill + attach, paid once)"
         )

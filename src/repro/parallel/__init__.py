@@ -11,20 +11,15 @@ same rank program (:mod:`repro.search.rank`) on real OS processes:
   ``.npy`` files and reopen it read-only with ``np.memmap`` in any
   process: N workers share **one** physical copy of the fragment data
   through the OS page cache instead of N pickled clones,
-* :mod:`repro.parallel.pool` — a :class:`~repro.parallel.pool.ProcessBackend`
-  mirroring :func:`~repro.mpi.launcher.run_spmd`'s contract (per-rank
-  callable, rank/size, gathered results and real timings) on
-  ``multiprocessing`` spawn workers, with crash → clean exception,
-* :mod:`repro.parallel.engine` — a
-  :class:`~repro.parallel.engine.ParallelSearchEngine` that is
-  bit-identical to the serial and simulated-distributed engines for
-  every partition policy and worker count, but whose phase times are
-  real seconds,
 * :mod:`repro.parallel.persistent` — a
   :class:`~repro.parallel.persistent.PersistentPool` of *resident*
   spawn workers looping on a command pipe (ATTACH once, QUERY per
   batch, SHUTDOWN), with automatic respawn + re-attach on worker
-  death — the substrate of :mod:`repro.service`.  Its blocking
+  death — the one execution core under :mod:`repro.service`.  Every
+  real-process search runs through it: a one-shot job is a session of
+  open → one submit → close, bit-identical to the serial and
+  simulated-distributed engines for every partition policy and worker
+  count, with real-second phase times.  Its blocking
   ``run_batch`` splits into non-blocking
   :meth:`~repro.parallel.persistent.PersistentPool.dispatch` →
   :class:`~repro.parallel.persistent.RoundHandle` ``.collect()``
@@ -40,16 +35,14 @@ same rank program (:mod:`repro.search.rank`) on real OS processes:
   preprocessed query batches the same memmap-shared treatment, so the
   per-batch scatter payload is O(manifest), never pickled peak arrays,
 * :mod:`repro.parallel.transport` — the pluggable
-  :class:`~repro.parallel.transport.Transport` registry behind both
-  pools' worker bootstrap: the pools speak only the
+  :class:`~repro.parallel.transport.Transport` registry behind the
+  pool's worker bootstrap: the pool speaks only the
   :class:`~repro.parallel.transport.WorkerChannel` API, so swapping
   local spawn pipes for a socket transport never touches supervision.
 """
 
-from repro.parallel.engine import ParallelEngineConfig, ParallelSearchEngine
 from repro.parallel.faults import FaultInjected, FaultPlan, FaultSpec, maybe_inject
 from repro.parallel.persistent import PersistentPool, PoolBatchResult, RoundHandle
-from repro.parallel.pool import ProcessBackend, ProcessResult
 from repro.parallel.transport import (
     TRANSPORTS,
     PipeTransport,
@@ -72,14 +65,10 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "maybe_inject",
-    "ParallelEngineConfig",
-    "ParallelSearchEngine",
     "PersistentPool",
     "PipeTransport",
     "PoolBatchResult",
-    "ProcessBackend",
     "RoundHandle",
-    "ProcessResult",
     "Transport",
     "TRANSPORTS",
     "WorkerChannel",

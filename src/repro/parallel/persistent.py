@@ -1,9 +1,10 @@
 """Long-lived spawn workers looping on a command pipe.
 
-:class:`~repro.parallel.pool.ProcessBackend` pays the full spawn +
-import + attach cost on every ``run()`` — fine for one batch, fatal
-for serving a stream of them.  :class:`PersistentPool` keeps the
-workers *resident*: each worker is spawned once, receives one
+This is the one real-process execution core: every process search —
+a long-lived serving session or a one-shot open → submit → close job —
+runs on a :class:`PersistentPool`.  Spawn + import + attach cost is
+paid once per pool, not once per batch, because the workers stay
+*resident*: each worker is spawned once, receives one
 ``ATTACH`` command that builds its long-lived state (for the search
 service: open the memmap-shared arena store and build the rank's
 partial index), then answers any number of ``QUERY`` commands against

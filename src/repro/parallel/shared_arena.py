@@ -170,11 +170,6 @@ class SharedArenaStore:
     # -- reading --------------------------------------------------------
 
     @classmethod
-    def exists(cls, directory: Union[str, Path]) -> bool:
-        """True when ``directory`` holds a spilled store (a manifest)."""
-        return (Path(directory) / _MANIFEST_NAME).is_file()
-
-    @classmethod
     def open(cls, directory: Union[str, Path]) -> "SharedArenaStore":
         """Attach to a store written by :meth:`spill`."""
         directory = Path(directory)
@@ -316,8 +311,8 @@ class SharedSpill:
     The handle owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last
     holder drops the handle (or at interpreter exit), so a crash
-    mid-spill cannot leak it.  Engines and services that share one
-    database hold the *same* handle (via :func:`shared_spill_for`), so
+    mid-spill cannot leak it.  Sessions that share one database hold
+    the *same* handle (via :func:`shared_spill_for`), so
     the directory lives exactly as long as anyone is mapping it —
     plain Python refcounting is the refcount.
     """
@@ -356,10 +351,10 @@ _SPILL_LOCK = threading.Lock()
 def shared_spill_for(arena: FragmentArena, resolution: float) -> SharedSpill:
     """The one shared tmpdir spill of ``arena`` at ``resolution``.
 
-    Two engines (or a service and an engine) over the same
+    Two sessions over the same
     :class:`~repro.search.database.IndexedDatabase` receive the same
     :class:`SharedSpill` handle instead of spilling twice; the tmpdir
-    is removed only when the *last* holder dies, so one engine's death
+    is removed only when the *last* holder dies, so one session's death
     never tears the memmaps out from under another.  Callers must keep
     the returned handle referenced for as long as they (or their
     workers) map the store.

@@ -1,18 +1,17 @@
 """Pluggable worker transports: how pool workers are spawned and reached.
 
-The resident pool (:mod:`repro.parallel.persistent`) and the one-shot
-backend (:mod:`repro.parallel.pool`) used to construct
-``multiprocessing`` pipes and processes inline — which welded every
-layer above them (engine, service, sharded serving tier) to one
-bootstrap mechanism.  This module is the seam that unwelds them, in
-the style of chainermn's communicator registry: the pools speak to a
-:class:`WorkerChannel` (send a command, receive a reply, observe
-liveness) and a named :class:`Transport` decides what is behind it —
-an in-process ``multiprocessing`` pipe today
+The resident pool (:mod:`repro.parallel.persistent`) — the one
+real-process execution core — never constructs ``multiprocessing``
+pipes or processes itself, so the layers above it (service, sharded
+serving tier) are not welded to one bootstrap mechanism.  This module
+is that seam, in the style of chainermn's communicator registry: the
+pool speaks to a :class:`WorkerChannel` (send a command, receive a
+reply, observe liveness) and a named :class:`Transport` decides what
+is behind it — an in-process ``multiprocessing`` pipe today
 (:class:`PipeTransport`), a socket to a remote host tomorrow, without
 touching the supervision or routing layers.
 
-Contract every transport must honor (what the pools' crash/deadline
+Contract every transport must honor (what the pool's crash/deadline
 supervision is written against):
 
 * :meth:`Transport.spawn` returns a channel whose worker is already
@@ -44,8 +43,8 @@ __all__ = [
 class WorkerChannel:
     """One live worker endpoint: a process handle plus its message pipe.
 
-    The pools never touch ``multiprocessing`` primitives directly —
-    everything they need (scatter a command, drain a reply, watch for
+    The pool never touches ``multiprocessing`` primitives directly —
+    everything it needs (scatter a command, drain a reply, watch for
     death, tear down) is on this object, so a transport that backs it
     with something other than a local spawn process only has to
     provide the same observable behavior.
@@ -135,11 +134,11 @@ class WorkerChannel:
 class Transport:
     """How a pool bootstraps workers and reaches them.
 
-    Subclasses implement :meth:`spawn`; everything else the pools do
+    Subclasses implement :meth:`spawn`; everything else the pool does
     goes through the returned :class:`WorkerChannel`.  Register new
     transports in :data:`TRANSPORTS` (or via :func:`register_transport`)
-    and select them by name — the engine/service/sharding layers carry
-    the name, never the mechanics.
+    and select them by name — the service/sharding layers carry the
+    name, never the mechanics.
     """
 
     #: Registry key (subclasses override).
@@ -151,14 +150,12 @@ class Transport:
         args: Tuple = (),
         *,
         name: str,
-        duplex: bool = True,
     ) -> WorkerChannel:
         """Start one worker running ``target(conn, *args)``.
 
-        The transport constructs the channel endpoint handed to the
-        worker as its first argument; the returned
-        :class:`WorkerChannel` is the master's end.  ``duplex=False``
-        gives a reply-only channel (the one-shot backend's shape).
+        The transport constructs the duplex channel endpoint handed to
+        the worker as its first argument; the returned
+        :class:`WorkerChannel` is the master's end.
         """
         raise NotImplementedError
 
@@ -191,9 +188,8 @@ class PipeTransport(Transport):
         args: Tuple = (),
         *,
         name: str,
-        duplex: bool = True,
     ) -> WorkerChannel:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=duplex)
+        parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=target,
             args=(child_conn, *args),
@@ -208,7 +204,7 @@ class PipeTransport(Transport):
 
 
 #: Name → transport class.  ``pipe`` is the in-process default; a
-#: socket transport slots in here without touching the pools.
+#: socket transport slots in here without touching the pool.
 TRANSPORTS: Dict[str, Type[Transport]] = {PipeTransport.name: PipeTransport}
 
 

@@ -1,24 +1,20 @@
 """Worker-side rank programs (module-level, picklable by reference).
 
 ``spawn`` workers import the function they run by qualified name, so
-everything a :class:`~repro.parallel.pool.ProcessBackend` executes
-must live at module scope in an importable module.  This module holds
+everything a :class:`~repro.parallel.persistent.PersistentPool`
+executes must live at module scope in an importable module.  This
+module holds
 
-* :func:`search_rank_worker` — the one-shot rank program: open the
-  memmap-shared arena store, carve this rank's sub-arena, build the
-  partial index, query every spectrum (all through the same
-  :mod:`repro.search.rank` body the simulated engine runs), and
-  report the payload plus real wall/CPU phase timings,
 * :func:`service_attach_worker` / :func:`service_query_worker` — the
-  same body split at the attach/query boundary for the persistent
-  pool: attach opens the arena store and builds the partial index
-  **once**, then every query round reopens only that batch's
-  memmap-shared spectra store — the per-batch pickled payload is a
-  :class:`QueryTask` (a path plus scalars), never peak arrays,
-* tiny diagnostic programs (:func:`echo_worker`, :func:`crash_worker`,
-  :func:`exit_worker`, :func:`sleep_worker`, and the ``resident_*`` /
-  ``query_*`` family for the persistent pool) used by the backends'
-  tests and for smoke-checking a deployment.
+  search rank program split at the attach/query boundary: attach opens
+  the memmap-shared arena store, carves this rank's sub-arena and
+  builds the partial index **once**; every query round reopens only
+  that batch's memmap-shared spectra store and runs the same
+  :mod:`repro.search.rank` body the simulated engine runs — the
+  per-batch pickled payload is a :class:`QueryTask` (a path plus
+  scalars), never peak arrays,
+* tiny diagnostic programs (the ``resident_*`` family) used by the
+  pool's tests and for smoke-checking a deployment.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,11 +34,8 @@ from repro.search.rank import (
     run_rank_queries,
     summarize_rank_output,
 )
-from repro.spectra.model import Spectrum
 
 __all__ = [
-    "RankTask",
-    "search_rank_worker",
     "AttachTask",
     "QueryTask",
     "service_attach_worker",
@@ -51,69 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankTask:
-    """Everything one search worker needs, in picklable form.
-
-    The bulk data (the fragment arena) is *not* here — workers reach
-    it zero-copy through ``store_dir``.  What does get pickled is the
-    rank's entry-id manifest, the (already preprocessed) query
-    spectra, and the settings: O(entries/worker + spectra), not
-    O(arena).
-    """
-
-    store_dir: str
-    entry_ids: np.ndarray
-    settings: SLMIndexSettings
-    spectra: Sequence[Spectrum]
-    top_k: int
-
-
-def search_rank_worker(rank: int, size: int, task: RankTask) -> dict:
-    """The process-backend rank program.
-
-    Returns a plain dict (picklable) with the merge payload, the
-    partial-index statistics, aggregate work counters, and real
-    wall/CPU seconds per phase.  Bit-identity with the other engines
-    is inherited from :mod:`repro.search.rank` — this function adds
-    only I/O and timing around the shared body.
-    """
-    t0 = time.perf_counter()
-    store = SharedArenaStore.open(task.store_dir)
-    arena = store.load(mmap_mode="r")
-    open_wall = time.perf_counter() - t0
-
-    t0, c0 = time.perf_counter(), time.process_time()
-    sub_arena, index = build_rank_index(arena, task.entry_ids, task.settings)
-    build_wall = time.perf_counter() - t0
-    build_cpu = time.process_time() - c0
-
-    t0, c0 = time.perf_counter(), time.process_time()
-    out = run_rank_queries(
-        index,
-        sub_arena,
-        task.entry_ids,
-        task.spectra,
-        top_k=task.top_k,
-    )
-    query_wall = time.perf_counter() - t0
-    query_cpu = time.process_time() - c0
-
-    report = summarize_rank_output(out)
-    report.update(
-        rank=rank,
-        n_entries=len(index),
-        n_ions=index.n_ions,
-        open_s=open_wall,
-        build_s=build_wall,
-        build_cpu_s=build_cpu,
-        query_s=query_wall,
-        query_cpu_s=query_cpu,
-    )
-    return report
-
-
-# -- persistent-service rank programs ----------------------------------
+# -- search rank programs ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -242,38 +172,7 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
     return report
 
 
-# -- diagnostic programs (backend tests / deployment smoke checks) -----
-
-
-def echo_worker(rank: int, size: int, payload) -> tuple:
-    """Return ``(rank, size, payload)`` — the minimal liveness check."""
-    return rank, size, payload
-
-
-def crash_worker(rank: int, size: int, payload) -> None:
-    """Raise on the rank given in ``payload`` (others echo)."""
-    if rank == payload:
-        raise ValueError(f"deliberate crash on rank {rank}")
-
-
-def exit_worker(rank: int, size: int, payload) -> None:
-    """Hard-exit (no report) on the rank given in ``payload``."""
-    if rank == payload:
-        os._exit(13)
-
-
-def sleep_worker(rank: int, size: int, payload) -> float:
-    """Sleep ``payload`` seconds — deadline/timeout testing."""
-    time.sleep(float(payload))
-    return float(payload)
-
-
-def unpicklable_result_worker(rank: int, size: int, payload):
-    """Return something the result pipe cannot pickle."""
-    return lambda: rank
-
-
-# -- persistent-pool diagnostic programs -------------------------------
+# -- diagnostic programs -----------------------------------------------
 
 
 def resident_attach(rank: int, size: int, payload) -> tuple:
@@ -307,3 +206,8 @@ def resident_sleep(rank: int, size: int, state, payload) -> float:
     """Sleep ``payload`` seconds — per-batch deadline testing."""
     time.sleep(float(payload))
     return float(payload)
+
+
+def resident_unpicklable(rank: int, size: int, state, payload):
+    """Return something the reply pipe cannot pickle."""
+    return lambda: rank

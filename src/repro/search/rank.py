@@ -10,8 +10,9 @@ so that
 
 * the **simulated** engine (threads over the virtual MPI fabric) calls
   it and charges virtual time from the returned work counters,
-* the **process** backend (:mod:`repro.parallel`) calls it inside real
-  OS workers over a memmap-shared arena and reports real seconds,
+* the **process** backend (:mod:`repro.parallel`) calls it inside
+  resident OS workers over a memmap-shared arena and reports real
+  seconds,
 * serial baselines can call it inline with a whole-database manifest.
 
 One implementation is what makes the engines bit-identical by
@@ -275,8 +276,8 @@ def summarize_rank_output(out: RankQueryOutput) -> dict:
     """Flatten a :class:`RankQueryOutput` into a picklable report dict.
 
     This is the merge payload plus summed work counters — the common
-    core of every worker-side report (the one-shot process backend and
-    the persistent service add their own timing keys on top).  Keeping
+    core of every worker-side report (the process backend's query
+    worker adds its own timing keys on top).  Keeping
     the dict shape in one place is what keeps the master-side merge
     and :func:`rank_stats_from_report` in lockstep across backends.
     """

@@ -1,9 +1,10 @@
 """Persistent search service: resident workers, streaming query batches.
 
-The one-shot :class:`~repro.parallel.ParallelSearchEngine` pays spawn +
-import + arena attach on every ``run()`` and pickles the query peak
-arrays to every worker — fine for a single batch, fatal for serving
-sustained traffic.  This package amortizes all of it across a session:
+A session is the one way to search on real processes.  Spawn +
+import + arena attach are paid once per session, and query peak
+arrays are never pickled to the workers.  A one-shot job — ``repro
+search --backend process`` — is simply a session of open → one submit
+→ close; a serving session amortizes the same costs across a stream:
 
 * :class:`~repro.service.service.SearchService` — the session API:
   ``open()`` spawns a :class:`~repro.parallel.persistent.PersistentPool`,
@@ -19,8 +20,8 @@ sustained traffic.  This package amortizes all of it across a session:
   the workers query — ``submit()`` is the blocking wrapper.  Results
   are bit-identical to the serial engine for every policy × worker
   count — the workers run the same :mod:`repro.search.rank` body as
-  every other backend, and the pipeline reorders when stages run,
-  never what they compute.
+  the serial and simulated engines, and the pipeline reorders when
+  stages run, never what they compute.
 * Per-batch :class:`~repro.service.service.BatchStats` record real
   wall/CPU phase seconds and the actual pickled scatter bytes, so the
   amortization claim is measurable, not aspirational

@@ -8,10 +8,11 @@ Session lifecycle (the amortization structure)::
         results, stats = service.submit(batch)   # QUERY round per batch
     service.close()           # SHUTDOWN
 
-``open()`` pays every per-run cost the one-shot engine pays per batch
-— worker spawn + interpreter import, the arena spill (through the
-process-wide spill cache, so an engine over the same database shares
-it), and the per-rank partial-index build.  ``submit()`` then costs
+``open()`` pays every once-per-session cost — worker spawn +
+interpreter import, the arena spill (through the process-wide spill
+cache, so sessions over the same database share it), and the per-rank
+partial-index build.  A one-shot job is the same lifecycle with a
+single ``submit()``.  ``submit()`` then costs
 only: preprocess, spill the batch to a memmap-shared
 :class:`~repro.parallel.shared_spectra.SharedSpectraStore`, one
 O(manifest) pickled :class:`~repro.parallel.worker.QueryTask` per
@@ -916,8 +917,8 @@ class SearchService:
     def open(self) -> "SearchService":
         """Spawn the pool, spill the arena, attach every worker.
 
-        Everything here is the once-per-session cost the one-shot
-        engine pays per run; :attr:`open_s` records it.  Idempotent —
+        Everything here is the once-per-session cost;
+        :attr:`open_s` records it.  Idempotent —
         reopening an open session is a no-op; reopening a closed one
         raises.  Serialized on the dispatch lock so concurrent
         ``open()`` calls cannot double-spawn pools.

@@ -7,6 +7,7 @@ never copied on construction, only validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,6 +17,12 @@ from repro.constants import PROTON
 from repro.errors import InvalidSpectrumError
 
 __all__ = ["Spectrum"]
+
+# Direct ufunc reductions: cheaper per call than ``np.any``/``ndarray.min``
+# on short peak arrays, and a Spectrum is built per spectrum on the hot
+# path (``preprocess_batch``, every worker's spectra-store load).
+_min = np.minimum.reduce
+_max = np.maximum.reduce
 
 
 @dataclass(slots=True)
@@ -58,19 +65,29 @@ class Spectrum:
             )
         if self.charge < 1:
             raise InvalidSpectrumError(f"charge must be >= 1, got {self.charge}")
-        if self.precursor_mz <= 0:
+        # Written so NaN fails every comparison: NaN and inf are
+        # rejected here instead of reaching the kernels as silent
+        # zero-candidate results.
+        if not 0 < self.precursor_mz < math.inf:
             raise InvalidSpectrumError(
-                f"precursor m/z must be positive, got {self.precursor_mz}"
+                f"precursor m/z must be positive and finite, got "
+                f"{self.precursor_mz}"
             )
-        if self.mzs.size and np.any(self.mzs <= 0):
-            raise InvalidSpectrumError("fragment m/z values must be positive")
-        if self.mzs.size and np.any(np.diff(self.mzs) < 0):
+        if not self.mzs.size:
+            return
+        if not (_min(self.mzs) > 0 and _max(self.mzs) < math.inf):
+            raise InvalidSpectrumError(
+                "fragment m/z values must be positive and finite"
+            )
+        if not (_min(self.intensities) >= 0 and _max(self.intensities) < math.inf):
+            raise InvalidSpectrumError(
+                "intensities must be non-negative and finite"
+            )
+        if np.any(np.diff(self.mzs) < 0):
             # Sort once here so every consumer can assume ascending order.
             order = np.argsort(self.mzs, kind="stable")
             self.mzs = self.mzs[order]
             self.intensities = self.intensities[order]
-        if self.mzs.size and np.any(self.intensities < 0):
-            raise InvalidSpectrumError("intensities must be non-negative")
 
     @property
     def n_peaks(self) -> int:

@@ -1,18 +1,21 @@
-"""Process-backend engine vs serial reference: exact equivalence.
+"""One-shot process search through a session vs serial: exact equivalence.
 
-The acceptance bar for the real-process backend is the same one the
+A one-shot real-process search is a :class:`SearchService` session of
+open → one submit → close.  Its acceptance bar is the one the
 simulated engine carries: for every partition policy and worker
 count, search results — candidate counts, PSM identities, scores,
 tie-breaking — are *bit-identical* to the serial engine's.  Real
 parallelism must change where the work runs, never what it computes.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.serial import SerialSearchEngine
+from repro.service import SearchService, ServiceConfig
 
 
 def assert_same_results(serial, parallel):
@@ -25,6 +28,13 @@ def assert_same_results(serial, parallel):
         ]
 
 
+def search_once(db, spectra, **config):
+    """One-shot job: open a session, submit every spectrum, close."""
+    with SearchService(db, ServiceConfig(**config)) as service:
+        results, _stats = service.submit(spectra)
+    return results
+
+
 @pytest.fixture(scope="module")
 def serial_reference(tiny_db, tiny_spectra):
     return SerialSearchEngine(tiny_db).run(tiny_spectra)
@@ -35,19 +45,14 @@ def serial_reference(tiny_db, tiny_spectra):
 def test_process_backend_equals_serial(
     tiny_db, tiny_spectra, serial_reference, policy, n_workers
 ):
-    engine = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=n_workers, policy=policy)
-    )
-    res = engine.run(tiny_spectra)
+    res = search_once(tiny_db, tiny_spectra, n_workers=n_workers, policy=policy)
     assert_same_results(serial_reference, res)
     assert res.n_ranks == n_workers
     assert res.policy_name == policy
 
 
 def test_rank_stats_cover_all_work(tiny_db, tiny_spectra, serial_reference):
-    res = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
-    ).run(tiny_spectra)
+    res = search_once(tiny_db, tiny_spectra, n_workers=2, policy="cyclic")
     assert sum(s.n_entries for s in res.rank_stats) == tiny_db.n_entries
     assert (
         sum(s.candidates_scored for s in res.rank_stats)
@@ -56,126 +61,97 @@ def test_rank_stats_cover_all_work(tiny_db, tiny_spectra, serial_reference):
 
 
 def test_phase_times_are_real_and_positive(tiny_db, tiny_spectra):
-    res = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
-    ).run(tiny_spectra)
-    for key in ("build", "query", "query_cpu", "parallel_wall", "total"):
+    res = search_once(tiny_db, tiny_spectra, n_workers=2, policy="cyclic")
+    for key in ("query", "query_cpu", "parallel_wall", "total"):
         assert res.phase_times[key] > 0.0
     # Worker phases are bounded by the master-observed parallel section.
     assert res.phase_times["query"] <= res.phase_times["parallel_wall"]
     for stats in res.rank_stats:
+        # The partial index is built once, at open(); its real build
+        # seconds ride every batch's rank stats.
+        assert stats.build_time > 0.0
         assert stats.query_time > 0.0
         assert stats.query_cpu_time > 0.0
 
 
 def test_plan_partitions_all_entries(tiny_db):
-    engine = ParallelSearchEngine(tiny_db, ParallelEngineConfig(n_workers=3))
-    assert int(engine.plan.partition_sizes().sum()) == tiny_db.n_entries
+    service = SearchService(tiny_db, ServiceConfig(n_workers=3))
+    assert int(service.plan.partition_sizes().sum()) == tiny_db.n_entries
 
 
 def test_engine_reuses_spilled_store(tiny_db, tiny_spectra):
-    engine = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
-    )
-    a = engine.run(tiny_spectra)
-    store_dir = engine._store.directory
-    b = engine.run(tiny_spectra)
-    assert engine._store.directory == store_dir
+    """Repeated submits on one session reuse its single arena spill."""
+    with SearchService(
+        tiny_db, ServiceConfig(n_workers=2, policy="cyclic")
+    ) as service:
+        directory = service._spill.store.directory
+        mtime = (directory / "mzs.npy").stat().st_mtime_ns
+        a, _ = service.submit(tiny_spectra)
+        b, _ = service.submit(tiny_spectra)
+        assert service._spill.store.directory == directory
+        assert (directory / "mzs.npy").stat().st_mtime_ns == mtime
     assert_same_results(a, b)
-    # The second run's spill phase is a cache hit.
-    assert b.phase_times["spill"] <= a.phase_times["spill"]
-
-
-def test_explicit_store_dir_is_kept_and_reused(tiny_db, tiny_spectra, tmp_path):
-    store_dir = tmp_path / "spill"
-    config = ParallelEngineConfig(
-        n_workers=2, policy="cyclic", store_dir=store_dir
-    )
-    first = ParallelSearchEngine(tiny_db, config)
-    res_a = first.run(tiny_spectra)
-    assert (store_dir / "mzs.npy").is_file()
-    spilled_mtime = (store_dir / "mzs.npy").stat().st_mtime_ns
-    # A second engine attaches to the existing spill instead of
-    # rewriting it (rewriting could tear live memmaps).
-    second = ParallelSearchEngine(tiny_db, config)
-    res_b = second.run(tiny_spectra)
-    assert (store_dir / "mzs.npy").stat().st_mtime_ns == spilled_mtime
-    assert_same_results(res_a, res_b)
-
-
-def test_mismatched_store_dir_rejected(tiny_db, small_db, tiny_spectra, tmp_path):
-    store_dir = tmp_path / "spill"
-    ParallelSearchEngine(
-        tiny_db,
-        ParallelEngineConfig(n_workers=2, store_dir=store_dir),
-    ).run(tiny_spectra)
-    other = ParallelSearchEngine(
-        small_db, ParallelEngineConfig(n_workers=2, store_dir=store_dir)
-    )
-    with pytest.raises(ConfigurationError, match="refusing to reuse"):
-        other._ensure_store()
 
 
 def test_workers_see_only_their_partition(tiny_db, tiny_spectra):
     """Per-worker index sizes match the plan (no replicated database)."""
-    engine = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=3, policy="cyclic")
-    )
-    res = engine.run(tiny_spectra)
-    expected = engine.plan.partition_sizes()
+    with SearchService(
+        tiny_db, ServiceConfig(n_workers=3, policy="cyclic")
+    ) as service:
+        res, _ = service.submit(tiny_spectra)
+        expected = service.plan.partition_sizes()
     got = np.array([s.n_entries for s in res.rank_stats], dtype=np.int64)
     assert np.array_equal(expected, got)
 
 
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
-        ParallelEngineConfig(n_workers=0)
+        ServiceConfig(n_workers=0)
     with pytest.raises(ConfigurationError):
-        ParallelEngineConfig(top_k=0)
+        ServiceConfig(top_k=0)
     with pytest.raises(ConfigurationError):
-        ParallelEngineConfig(timeout=-1.0)
+        ServiceConfig(timeout=-1.0)
 
 
 # -- shared spill cache (one tmpdir spill per arena) -------------------
 
 
 def test_engines_over_same_database_share_one_spill(tiny_db, tiny_spectra):
-    """Two engines over one database attach to the same tmpdir spill
+    """Two sessions over one database attach to the same tmpdir spill
     (no second spill), and results stay bit-identical."""
-    a = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
-    )
-    b = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=3, policy="chunk")
-    )
-    res_a = a.run(tiny_spectra)
-    mtime = (a._store.directory / "mzs.npy").stat().st_mtime_ns
-    res_b = b.run(tiny_spectra)
-    assert b._store.directory == a._store.directory
-    # Attached, not re-spilled (rewriting could tear live memmaps).
-    assert (b._store.directory / "mzs.npy").stat().st_mtime_ns == mtime
+    with SearchService(
+        tiny_db, ServiceConfig(n_workers=2, policy="cyclic")
+    ) as a:
+        res_a, _ = a.submit(tiny_spectra)
+        directory = a._spill.store.directory
+        mtime = (directory / "mzs.npy").stat().st_mtime_ns
+        with SearchService(
+            tiny_db, ServiceConfig(n_workers=3, policy="chunk")
+        ) as b:
+            res_b, _ = b.submit(tiny_spectra)
+            assert b._spill.store.directory == directory
+            # Attached, not re-spilled (rewriting could tear live
+            # memmaps).
+            assert (directory / "mzs.npy").stat().st_mtime_ns == mtime
     assert_same_results(res_a, res_b)
 
 
 def test_first_engine_death_does_not_remove_shared_spill(tiny_db, tiny_spectra):
-    """The spill is refcounted: it outlives any single engine and is
+    """The spill is refcounted: it outlives any single session and is
     removed only when the last holder is garbage-collected."""
-    import gc
-
-    a = ParallelSearchEngine(tiny_db, ParallelEngineConfig(n_workers=2))
-    b = ParallelSearchEngine(tiny_db, ParallelEngineConfig(n_workers=2))
-    a.run(tiny_spectra)
-    b._ensure_store()
-    directory = a._store.directory
-    del a
-    gc.collect()
-    assert directory.is_dir()  # b still maps it
-    assert_same_results(
-        ParallelSearchEngine(
-            tiny_db, ParallelEngineConfig(n_workers=2)
-        ).run(tiny_spectra),
-        b.run(tiny_spectra),
-    )
+    a = SearchService(tiny_db, ServiceConfig(n_workers=2)).open()
+    b = SearchService(tiny_db, ServiceConfig(n_workers=2)).open()
+    try:
+        res_a, _ = a.submit(tiny_spectra)
+        directory = a._spill.store.directory
+        a.close()
+        del a
+        gc.collect()
+        assert directory.is_dir()  # b still maps it
+        res_b, _ = b.submit(tiny_spectra)
+        assert_same_results(res_a, res_b)
+    finally:
+        b.close()
     del b
     gc.collect()
     assert not directory.exists()  # last holder gone -> tmpdir gone

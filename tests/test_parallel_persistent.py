@@ -1,8 +1,8 @@
 """Persistent-pool contract tests: residency, state, and failure modes.
 
 The resident pool must amortize spawn cost (same worker PIDs across
-batches, attach state intact) while keeping ``ProcessBackend``'s "no
-failure mode hangs" guarantee — plus session survival: any worker
+batches, attach state intact) while guaranteeing that no failure mode
+hangs — plus session survival: any worker
 failure fails at most the in-flight batch, and the pool respawns and
 re-attaches dead ranks automatically before the next one.
 """
@@ -19,6 +19,7 @@ from repro.parallel.worker import (
     resident_echo,
     resident_exit,
     resident_sleep,
+    resident_unpicklable,
 )
 
 
@@ -39,6 +40,16 @@ def test_attach_reports_and_batches_in_rank_order(pool):
     assert res.n_workers == 2
     assert res.respawned == 0
     assert res.makespan == max(res.wall_times)
+
+
+def test_single_worker_runs():
+    pool = PersistentPool(1, timeout=60.0)
+    try:
+        pool.attach(resident_attach, ["solo"])
+        res = pool.run_batch(resident_echo, [42])
+        assert [r[:3] for r in res.results] == [(0, "solo", 42)]
+    finally:
+        pool.close()
 
 
 def test_workers_stay_resident_across_batches(pool):
@@ -138,6 +149,21 @@ def test_unpicklable_payload_cannot_desync_the_pipes(pool):
     assert "pickle" in str(excinfo.value).lower()
     # The next batch must see ITS payloads, not round-1 leftovers.
     res = pool.run_batch(resident_echo, ["x", "y"])
+    assert [r[:3] for r in res.results] == [
+        (0, "state-a", "x"),
+        (1, "state-b", "y"),
+    ]
+
+
+def test_unpicklable_result_reports_cause(pool):
+    """A reply the pipe cannot pickle fails the batch with the cause
+    named; the worker stays resident and the pipe stays in sync."""
+    pids = pool.worker_pids()
+    with pytest.raises(WorkerError, match="while sending the result"):
+        pool.run_batch(resident_unpicklable, [None, None])
+    res = pool.run_batch(resident_echo, ["x", "y"])
+    assert res.respawned == 0
+    assert pool.worker_pids() == pids
     assert [r[:3] for r in res.results] == [
         (0, "state-a", "x"),
         (1, "state-b", "y"),

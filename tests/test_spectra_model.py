@@ -61,6 +61,26 @@ def test_negative_intensity_rejected():
         make([100.0, 200.0], [1.0, -1.0])
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(precursor_mz=float("nan")), "precursor"),
+        (dict(precursor_mz=float("inf")), "precursor"),
+        (dict(mzs=[100.0, float("nan")]), "m/z"),
+        (dict(mzs=[100.0, float("inf")]), "m/z"),
+        (dict(intens=[1.0, float("nan")]), "intensities"),
+        (dict(intens=[1.0, float("inf")]), "intensities"),
+    ],
+    ids=["precursor-nan", "precursor-inf", "mz-nan", "mz-inf",
+         "intensity-nan", "intensity-inf"],
+)
+def test_non_finite_values_rejected(kw, match):
+    mzs = kw.pop("mzs", [100.0, 200.0])
+    intens = kw.pop("intens", [1.0, 0.5])
+    with pytest.raises(InvalidSpectrumError, match=match):
+        make(mzs, intens, **kw)
+
+
 def test_empty_spectrum_allowed():
     s = make([], [])
     assert s.n_peaks == 0
