@@ -34,23 +34,15 @@ same rank program (:mod:`repro.search.rank`) on real OS processes:
   :class:`~repro.parallel.shared_spectra.SharedSpectraStore` giving
   preprocessed query batches the same memmap-shared treatment, so the
   per-batch scatter payload is O(manifest), never pickled peak arrays,
-* :mod:`repro.parallel.transport` — the pluggable
-  :class:`~repro.parallel.transport.Transport` registry behind the
-  pool's worker bootstrap: the pool speaks only the
-  :class:`~repro.parallel.transport.WorkerChannel` API, so swapping
-  local spawn pipes for a socket transport never touches supervision.
+* :mod:`repro.parallel.transport` — the
+  :class:`~repro.parallel.transport.WorkerChannel` the pool's
+  supervision speaks to each worker through, and the one function that
+  spawns a local worker on a ``multiprocessing`` pipe.
 """
 
 from repro.parallel.faults import FaultInjected, FaultPlan, FaultSpec, maybe_inject
 from repro.parallel.persistent import PersistentPool, PoolBatchResult, RoundHandle
-from repro.parallel.transport import (
-    TRANSPORTS,
-    PipeTransport,
-    Transport,
-    WorkerChannel,
-    make_transport,
-    register_transport,
-)
+from repro.parallel.transport import WorkerChannel
 from repro.parallel.shared_arena import (
     SharedArenaStore,
     SharedSpill,
@@ -66,14 +58,9 @@ __all__ = [
     "FaultSpec",
     "maybe_inject",
     "PersistentPool",
-    "PipeTransport",
     "PoolBatchResult",
     "RoundHandle",
-    "Transport",
-    "TRANSPORTS",
     "WorkerChannel",
-    "make_transport",
-    "register_transport",
     "SharedArenaStore",
     "SharedSpectraStore",
     "SharedSpill",

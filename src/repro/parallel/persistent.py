@@ -11,55 +11,92 @@ partial index), then answers any number of ``QUERY`` commands against
 that state until ``SHUTDOWN``.  HiCOPS keeps its parallel machinery
 resident across query batches for exactly this amortization.
 
+Supervision: one attempt loop per round
+---------------------------------------
+Every command round — an ATTACH, a QUERY, a re-attach inside
+:meth:`PersistentPool.reconfigure` — runs through the same loop.  The
+unit it supervises is an **attempt**: one channel plus the replies it
+still owes the rank (an ATTACH report when it runs on a fresh worker
+of a QUERY round, then the command's reply).  An attempt's deadline
+re-arms when its attach report arrives, so attach and command each
+get the pool's ``timeout``.  Starting an attempt either re-sends the
+command to the rank's live resident worker, or spawns a fresh worker
+and sends the recorded ATTACH and the command back to back — the
+dispatch of a rank that died between rounds, a retry after a death,
+a hedge, and a reconfigure's re-attach are all that one step.  The
+loop's named transitions:
+
+* **answered** — the attempt's worker becomes the rank's resident
+  worker and every rival attempt for the rank is stopped (first
+  answer wins, so a late duplicate can never double-merge);
+* **failed** — the rank spends one unit of its ``max_retries``
+  budget, sleeps ``backoff_s * 2**(k-1)`` and starts the next
+  attempt: after a raise in a QUERY the command is re-sent to the
+  live worker; after a death, a deadline kill or **any failed
+  ATTACH** the worker is retired and the next attempt is a fresh one
+  (a failed attach leaves no usable state behind);
+* **hedge** — a second attempt, on a fresh worker, for each rank
+  still outstanding ``hedge_after`` seconds into a QUERY round;
+* **degrade or raise** — once a rank's budget is spent and no rival
+  attempt is left, the round raises the lowest failing rank's
+  :class:`WorkerError`, or returns a partial result under
+  ``degraded_ok``.
+
 Failure semantics
 -----------------
 The contract is "never hangs, heals fast": no failure mode may block
 forever, and with ``max_retries > 0`` a round *survives* its workers —
 the failing rank's payload is replayed on a respawned worker and the
 round completes bit-identically to the fault-free run.  The matrix
-(fault × stage → observed behavior, with R = ``max_retries``):
+(fault × stage → transition taken, with R = ``max_retries``):
 
 =====================  ==================================================
 fault at stage         observed behavior
 =====================  ==================================================
-crash before attach    ATTACH round fails for the rank; supervision
-(spawn / attach)       respawns it, the replayed attach IS the retry —
-                       heals for R >= 1, else :class:`WorkerError` with
-                       the exit code.
-raise during attach    error reply, worker stays resident; retry
-                       re-sends the attach payload — heals for R >= 1.
-crash mid-query        death detected via the process sentinel; retry
-                       respawns + re-attaches the rank and re-dispatches
-                       **only its payload** with exponential backoff —
-                       heals for R >= 1, else fails the batch (session
-                       survives either way, next round respawns).
+crash before attach    the ATTACH attempt sees the death → *failed*: a
+(spawn / attach)       fresh worker replays the attach — heals for
+                       R >= 1, else :class:`WorkerError` with the exit
+                       code.
+raise during attach    error reply → *failed*: the worker is retired
+                       (it holds no usable state) and a fresh worker
+                       replays the attach — heals for R >= 1.
+dead between rounds    the dispatch starts a fresh worker with ATTACH
+                       and the command back to back (one ATTACH per
+                       worker, no retry spent); an ATTACH that fails
+                       there is *failed* like any other attempt, so the
+                       rank heals for R >= 1 and is left dead —
+                       replaying the attach next round — for R = 0.
+crash mid-query        death detected via the process sentinel →
+                       *failed*: after the backoff a fresh worker
+                       re-attaches and re-runs **only this rank's
+                       payload** — heals for R >= 1, else fails the
+                       batch (the session survives either way).
 crash before reply     same as crash mid-query (work computed but never
                        reported is indistinguishable from never run).
 raise mid-query        error reply carrying the remote traceback; the
                        worker keeps looping (pipe stays synchronized);
-                       retry re-sends the payload to the same worker.
-hang                   the per-rank round deadline expires, the stuck
-                       worker is terminated (it cannot be
-                       resynchronized) and the rank retried as a death.
+                       *failed* re-sends the payload to the same worker.
+hang                   the attempt's deadline expires, the stuck worker
+                       is terminated (it cannot be resynchronized) and
+                       the rank is *failed* as a death.
 slow (straggler)       not a failure: with ``hedge_after`` set, the
-                       soft deadline launches a speculative duplicate
-                       of each still-outstanding rank's task on a
-                       fresh attached worker; first answer wins, keyed
-                       per (round, rank), the loser is terminated so a
-                       late duplicate can never double-merge.
-retries exhausted      default: the round raises the lowest failing
-                       rank's :class:`WorkerError` (structured with
-                       ``rank`` / ``exit_code`` / ``retries``).  With
-                       ``degraded_ok=True`` a QUERY round instead
-                       returns a partial :class:`PoolBatchResult` whose
-                       ``failed_ranks`` mask names the missing ranks
-                       (their ``results`` entries are ``None``).
-crash during a live    the re-attach retries like any rank failure:
-re-attach              respawn + replay with exponential backoff —
-(:meth:`reconfigure`)  heals for R >= 1 even when the death happens
-                       *during the replayed attach itself* (the
-                       retry-of-retry path: each replay consumes one
-                       more attempt from the same per-rank budget).
+                       *hedge* transition races a fresh attached worker
+                       against each still-outstanding rank; *answered*
+                       keeps the first reply and stops the rival.
+retries exhausted      *degrade or raise*: by default the round raises
+                       the lowest failing rank's :class:`WorkerError`
+                       (structured with ``rank`` / ``exit_code`` /
+                       ``retries``).  With ``degraded_ok=True`` a QUERY
+                       round instead returns a partial
+                       :class:`PoolBatchResult` whose ``failed_ranks``
+                       mask names the missing ranks (their ``results``
+                       entries are ``None``).
+crash during a live    the re-attach is an ATTACH round over the changed
+re-attach              ranks: *failed* starts a fresh worker with the
+(:meth:`reconfigure`)  new payload — heals for R >= 1 even when the
+                       death happens *during the replayed attach itself*
+                       (the retry-of-retry path: each replay consumes
+                       one more attempt from the same per-rank budget).
 crash in a worker      surviving ranks are untouched; the dead new
 added by a resize      slot retries exactly like a re-attach above.
                        A resize never destabilizes ranks it did not
@@ -87,14 +124,12 @@ Fault injection for the chaos suite lives in
 :mod:`repro.parallel.faults`; the plan reaches every worker (and every
 hedge) as a spawn argument, or via the ``REPRO_FAULT_PLAN`` env var.
 
-Transports and the sharded fleet
---------------------------------
-Worker bootstrap goes through the pluggable
-:class:`~repro.parallel.transport.Transport` registry: the pool asks
-its transport for one :class:`~repro.parallel.transport.WorkerChannel`
-per rank (and per hedge) and speaks only the channel API — in-process
-``multiprocessing`` pipes today (``transport="pipe"``), a socket
-transport tomorrow, with the supervision loop unchanged.  The sharded
+Channels and the sharded fleet
+------------------------------
+The pool speaks to its workers only through
+:class:`~repro.parallel.transport.WorkerChannel` (send a command,
+receive a reply, observe liveness); the attempt loop is written
+against that contract, not against ``multiprocessing``.  The sharded
 serving tier (:mod:`repro.service.sharding`) composes one pool per
 database shard; the failure matrix above stays strictly per-pool — a
 whole shard lost after retries degrades fleet *coverage* at the
@@ -116,10 +151,18 @@ what keeps the crash/respawn/deadline contract per round unchanged.
 The round's deadline starts at ``dispatch`` time; a retry resets the
 retried rank's deadline only.
 
-The scatter pickles each **distinct payload object once** — when every
-rank receives the same task object (the service's per-batch command),
-one pickle serves all workers, and the actual bytes written to the
-pipes are reported on the result (``scatter_bytes``).
+The scatter pickles each **distinct payload object once**, before the
+first send — when every rank receives the same task object (the
+service's per-batch command), one pickle serves all workers, a
+payload that cannot be pickled fails the dispatch with nothing on the
+pipes, and the actual bytes written to the pipes are reported on the
+result (``scatter_bytes``).
+
+Worker reports may carry ``spans`` as ``(name, start, dur)`` offsets
+from the start of the worker's command.  The master anchors them at
+the round's dispatch, so the winning attempt's offsets are shifted by
+the moment its command really started — a retried or hedged rank's
+spans land after the failure or stall that preceded them.
 
 Command callables must be module-level (picklable by reference).  The
 attach callable runs ``fn(rank, size, payload) -> (state, report)``;
@@ -129,6 +172,7 @@ run ``fn(rank, size, state, payload) -> result``.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import threading
 import time
 import traceback
@@ -136,12 +180,12 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import connection
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, PipelineError, ServiceError, WorkerError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.faults import FaultPlan, maybe_inject
-from repro.parallel.transport import Transport, WorkerChannel, make_transport
+from repro.parallel.transport import WorkerChannel, spawn_worker
 
 __all__ = ["PersistentPool", "PoolBatchResult", "RoundHandle"]
 
@@ -202,6 +246,82 @@ class PoolBatchResult:
         return max(self.wall_times) if self.wall_times else 0.0
 
 
+class _Attempt:
+    """One try at getting one rank's command answered on one channel.
+
+    The attempt owes the attach report first when it runs on a fresh
+    worker of a QUERY round (``owes_attach``), then the command reply.
+    ``deadline`` re-arms when the attach report arrives; ``started`` is
+    the master-clock moment the command itself started — the round's
+    dispatch for a rank's first attempt on its resident worker, later
+    for a retry or a hedge.
+    """
+
+    __slots__ = ("rank", "channel", "hedge", "owes_attach", "deadline", "started")
+
+    def __init__(
+        self,
+        rank: int,
+        channel: WorkerChannel,
+        hedge: bool,
+        owes_attach: bool,
+        started: float,
+        timeout: float,
+    ) -> None:
+        self.rank = rank
+        self.channel = channel
+        self.hedge = hedge
+        self.owes_attach = owes_attach
+        self.started = started
+        self.deadline = time.monotonic() + timeout
+
+    def read(self, timeout: float) -> Union[None, WorkerError, Tuple[Any, float, float]]:
+        """Consume whatever replies the channel holds without blocking.
+
+        Returns ``None`` while the command reply is still owed,
+        ``(result, wall, cpu)`` once it arrived, or the failure as a
+        :class:`WorkerError` (a raise or an attach error reply, or a
+        death — checked via the process sentinel so it never hangs).
+        """
+        channel = self.channel
+        rank = self.rank
+        while True:
+            if not channel.poll():
+                if channel.alive:
+                    return None
+                channel.join()
+                if not channel.poll():
+                    return _died(rank, channel)
+            try:
+                message = channel.recv()
+            except (EOFError, OSError):
+                channel.join()
+                return _died(rank, channel)
+            if message[0] == "error":
+                _, summary, remote_tb = message
+                return WorkerError(
+                    f"worker {rank} raised {summary}\n"
+                    f"--- remote traceback ---\n{remote_tb}",
+                    rank=rank,
+                )
+            if not self.owes_attach:
+                return message[1], message[2], message[3]
+            # The attach report: the command starts now, with a full
+            # deadline of its own; its reply may already be queued.
+            self.owes_attach = False
+            self.started = time.monotonic()
+            self.deadline = self.started + timeout
+
+
+def _died(rank: int, channel: WorkerChannel) -> WorkerError:
+    return WorkerError(
+        f"worker {rank} died mid-batch without reporting "
+        f"(exit code {channel.exitcode})",
+        rank=rank,
+        exit_code=channel.exitcode,
+    )
+
+
 class RoundHandle:
     """One dispatched command round awaiting :meth:`collect`.
 
@@ -222,35 +342,52 @@ class RoundHandle:
         ``time.monotonic()`` instant the round (initially) must finish
         by; a retried rank gets a fresh deadline of its own.
     respawned:
-        Workers respawned (and re-attached) to scatter this round.
+        Workers respawned (and re-attached) for this round so far; at
+        dispatch, the ranks that had died between rounds.
     scatter_bytes:
         Actual pickled command bytes written to the pipes.
     """
 
-    __slots__ = ("_pool", "command", "deadline", "respawned", "scatter_bytes",
-                 "fn", "payloads", "dispatched_at", "_collected", "_aborted")
+    __slots__ = (
+        "_pool", "command", "deadline", "respawned", "scatter_bytes",
+        "fn", "payloads", "dispatched_at", "_collected", "_aborted",
+        "_buffers", "_live", "_tries", "_errors", "_results", "_walls",
+        "_cpus", "_retries", "_hedged", "_hedge_at",
+    )
 
     def __init__(
         self,
         pool: "PersistentPool",
         command: str,
-        deadline: float,
-        respawned: int,
-        scatter_bytes: int,
         fn: Callable,
         payloads: List[Any],
-        dispatched_at: float,
+        hedge_after: Optional[float],
     ) -> None:
+        n = len(payloads)
         self._pool = pool
         self.command = command
-        self.deadline = deadline
-        self.respawned = respawned
-        self.scatter_bytes = scatter_bytes
         self.fn = fn
         self.payloads = payloads
-        self.dispatched_at = dispatched_at
+        self.dispatched_at = time.monotonic()
+        self.deadline = self.dispatched_at + pool.timeout
+        self.respawned = 0
+        self.scatter_bytes = 0
         self._collected = False
         self._aborted = False
+        self._buffers: Dict[int, bytes] = {}
+        self._live: List[_Attempt] = []
+        self._tries = [0] * n
+        # Ranks whose budget is spent, with their last error; a rank
+        # whose racing hedge still answers is removed again.
+        self._errors: Dict[int, WorkerError] = {}
+        self._results: List[Any] = [None] * n
+        self._walls = [0.0] * n
+        self._cpus = [0.0] * n
+        self._retries = 0
+        self._hedged = 0
+        self._hedge_at = (
+            None if hedge_after is None else self.dispatched_at + hedge_after
+        )
 
     @property
     def pending(self) -> bool:
@@ -260,6 +397,13 @@ class RoundHandle:
     def collect(self) -> PoolBatchResult:
         """Await every worker's reply; see :class:`RoundHandle`."""
         return self._pool._collect(self)
+
+    def _stop_live(self) -> None:
+        """Terminate every attempt still on the pipe: their replies
+        could otherwise be misread by a later round."""
+        for attempt in self._live:
+            attempt.channel.stop()
+        self._live.clear()
 
 
 def _persistent_worker_entry(
@@ -352,23 +496,6 @@ def _payload_batch(payload) -> Optional[int]:
     return batch if isinstance(batch, int) and batch >= 0 else None
 
 
-class _Hedge:
-    """One speculative straggler duplicate: a fresh attached worker
-    racing the original rank, first answer wins."""
-
-    __slots__ = ("channel", "attach_done", "deadline", "query_anchor")
-
-    def __init__(self, channel: WorkerChannel, deadline: float) -> None:
-        self.channel = channel
-        self.attach_done = False
-        self.deadline = deadline
-        # Master clock at the hedge's attach reply — the moment its
-        # query actually starts.  Reply spans are offsets from that
-        # moment, not from the round's dispatch; promote_hedge uses
-        # this to re-base them into the round's timeline.
-        self.query_anchor: Optional[float] = None
-
-
 class PersistentPool:
     """``n_workers`` resident OS processes answering command rounds.
 
@@ -377,11 +504,13 @@ class PersistentPool:
     n_workers:
         Worker count (the rank space is ``0 .. n_workers - 1``).
     start_method:
-        ``multiprocessing`` start method; ``spawn`` (default) for a
-        fresh interpreter per worker on every platform.
+        ``multiprocessing`` start method; ``spawn`` (default) imports a
+        fresh interpreter per worker — slower to start but immune to
+        inherited locks/threads, and identical across platforms.
     timeout:
-        Real-seconds deadline per command round (attach or batch);
-        per-rank, reset by a retry.
+        Real-seconds deadline per command (attach or batch) per
+        attempt: reset by a retry, and separate for the attach and the
+        command of an attempt on a fresh worker.
     max_retries:
         Per-rank re-dispatch budget per round.  0 (default) keeps the
         historical fail-fast contract; >= 1 makes a round survive
@@ -405,14 +534,6 @@ class PersistentPool:
         Chaos-testing injection schedule handed to every spawned
         worker; defaults to :meth:`FaultPlan.from_env` so a plan in
         ``REPRO_FAULT_PLAN`` reaches a whole CLI session.
-    transport:
-        Worker bootstrap mechanism: a registry name (``"pipe"`` —
-        local spawn workers on OS pipes — is the default and currently
-        the only built-in) or a ready
-        :class:`~repro.parallel.transport.Transport` instance.  The
-        pool only ever speaks the
-        :class:`~repro.parallel.transport.WorkerChannel` API, so a
-        socket transport drops in without touching supervision.
     tracer:
         Observability sink (:mod:`repro.obs`): every supervision
         transition — retry, backoff, respawn, hedge launch/win/loss,
@@ -436,15 +557,17 @@ class PersistentPool:
         hedge_after: Optional[float] = None,
         degraded_ok: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        transport: "str | Transport" = "pipe",
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         if timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-        # Resolves the registry name and validates start_method.
-        transport_obj = make_transport(transport, start_method=start_method)
+        if start_method not in mp.get_all_start_methods():
+            raise ConfigurationError(
+                f"start method {start_method!r} not available "
+                f"(have {mp.get_all_start_methods()})"
+            )
         if max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {max_retries}"
@@ -465,7 +588,7 @@ class PersistentPool:
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
-        self._transport = transport_obj
+        self._ctx = mp.get_context(start_method)
         self._tracer = tracer
         self._channels: List[Optional[WorkerChannel]] = [None] * n_workers
         self._attach: Optional[Tuple[Callable, List[Any]]] = None
@@ -480,7 +603,7 @@ class PersistentPool:
         # service overlaps with master-side work.
         self._round_lock = threading.Lock()
         for rank in range(n_workers):
-            self._spawn(rank)
+            self._channels[rank] = self._spawn(rank)
         # Safety net: a pool dropped without close() must not leave
         # orphan processes.  The finalizer captures the channel list,
         # not self, so it cannot keep the pool alive (the list is
@@ -511,37 +634,30 @@ class PersistentPool:
             return
         self._closed = True  # reject new rounds before taking the lock
         with self._round_lock:
-            self._close_locked()
+            if self._inflight is not None and self._inflight.pending:
+                # Dispatched but nobody is collecting: kill the workers
+                # so teardown cannot block on their unread replies.
+                self._inflight._stop_live()
+                self._inflight._aborted = True
+                self._inflight = None
+            self._retire(self._channels)
+            self._channels[:] = [None] * len(self._channels)
 
-    def _close_locked(self) -> None:
-        if self._inflight is not None and self._inflight.pending:
-            # Dispatched but nobody is collecting: kill the workers so
-            # teardown cannot block on their unread replies.
-            for channel in self._channels:
-                if channel is not None:
-                    channel.terminate_quietly()
-            self._inflight._aborted = True
-            self._inflight = None
+    def _retire(self, channels: Sequence[Optional[WorkerChannel]]) -> None:
+        """Shut workers down: SHUTDOWN to every live one, join them
+        under one shared deadline, then terminate and close whatever
+        is left."""
+        channels = [channel for channel in channels if channel is not None]
         deadline = time.monotonic() + min(self.timeout, 10.0)
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is None or not channel.alive:
-                continue
-            try:
-                channel.send((_SHUTDOWN,))
-            except (BrokenPipeError, OSError):
-                continue
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is None:
-                continue
+        for channel in channels:
+            if channel.alive:
+                try:
+                    channel.send((_SHUTDOWN,))
+                except (BrokenPipeError, OSError):
+                    pass
+        for channel in channels:
             channel.join(timeout=max(0.0, deadline - time.monotonic()))
-            channel.terminate_quietly()
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is not None:
-                channel.close()
-            self._channels[rank] = None
+            channel.stop()
 
     @property
     def closed(self) -> bool:
@@ -560,44 +676,13 @@ class PersistentPool:
             for channel in self._channels
         ]
 
-    # -- spawning --------------------------------------------------------
-
-    def _spawn(self, rank: int) -> None:
-        self._channels[rank] = self._transport.spawn(
+    def _spawn(self, rank: int, role: str = "resident") -> WorkerChannel:
+        return spawn_worker(
+            self._ctx,
             _persistent_worker_entry,
             (rank, self.n_workers, self._fault_plan),
-            name=f"repro-resident-{rank}",
+            name=f"repro-{role}-{rank}",
         )
-
-    def _respawn(self, rank: int, deadline: float) -> Optional[Tuple[Any, float, float]]:
-        """Replace a dead worker and replay its ATTACH.
-
-        Returns the replayed attach's ``(report, wall, cpu)`` — an
-        ATTACH-round retry uses it directly as the rank's result — or
-        ``None`` when no attach has been recorded yet.
-        """
-        channel = self._channels[rank]
-        if channel is not None:
-            channel.stop()
-        self._spawn(rank)
-        self._respawn_total += 1
-        if self._tracer.enabled:
-            self._tracer.event("respawn", {"rank": rank})
-        if self._attach is not None:
-            fn, payloads = self._attach
-            self._channels[rank].send((_ATTACH, fn, payloads[rank]))
-            return self._receive(rank, deadline)
-        return None
-
-    def _ensure_alive(self, deadline: float) -> int:
-        """Respawn (and re-attach) any rank that died between rounds."""
-        respawned = 0
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is None or not channel.alive:
-                self._respawn(rank, deadline)
-                respawned += 1
-        return respawned
 
     # -- command rounds --------------------------------------------------
 
@@ -642,16 +727,16 @@ class PersistentPool:
         that is the pipeline-safe migration barrier.
 
         Returns ``{rank: (report, wall_s, cpu_s)}`` for every rank
-        that was (re-)attached.  Failures retry with the pool's
-        standard respawn/backoff budget; a rank that exhausts it is
-        **terminated** (so its next respawn replays the new payloads)
-        and the remaining ranks still re-attach — only then does the
-        first failure raise as :class:`~repro.errors.WorkerError`.
-        The invariant on every exit path, raising or not: each changed
-        rank either holds its new resident state or is dead pending a
-        respawn into it — no rank is ever left alive with the old
-        state, so the caller can (must) adopt the new configuration
-        even on failure.
+        that was (re-)attached.  The changed and grown ranks run one
+        supervised ATTACH round with the pool's standard retry budget;
+        a rank that exhausts it is **left dead** (so its next respawn
+        replays the new payloads) while the remaining ranks still
+        re-attach — only then does the lowest failure raise as
+        :class:`~repro.errors.WorkerError`.  The invariant on every
+        exit path, raising or not: each changed rank either holds its
+        new resident state or is dead pending a respawn into it — no
+        rank is ever left alive with the old state, so the caller can
+        (must) adopt the new configuration even on failure.
         """
         self._check_open()
         payloads = list(payloads)
@@ -678,30 +763,11 @@ class PersistentPool:
                         f"changed ranks {bad} outside the new rank "
                         f"space [0, {new_n})"
                     )
-            # Shrink: retire surplus ranks (graceful SHUTDOWN, then the
-            # hammer) and drop their slots.  The channel list is mutated
-            # in place — the leak finalizer holds the list object.
-            shutdown_deadline = time.monotonic() + min(self.timeout, 5.0)
-            for rank in range(new_n, old_n):
-                channel = self._channels[rank]
-                if channel is None:
-                    continue
-                if channel.alive:
-                    try:
-                        channel.send((_SHUTDOWN,))
-                    except (BrokenPipeError, OSError):
-                        pass
-            for rank in range(new_n, old_n):
-                channel = self._channels[rank]
-                if channel is None:
-                    continue
-                channel.join(
-                    timeout=max(0.0, shutdown_deadline - time.monotonic())
-                )
-                channel.terminate_quietly()
-                channel.close()
+            # Shrink retires the surplus ranks; growth opens empty
+            # slots the ATTACH round spawns into.  The channel list is
+            # mutated in place — the leak finalizer holds the list.
+            self._retire(self._channels[new_n:])
             del self._channels[new_n:]
-            # Grow: open empty slots; _reattach_rank spawns into them.
             self._channels.extend(None for _ in range(old_n, new_n))
             self.n_workers = new_n
             self._attach = (fn, payloads)
@@ -709,81 +775,16 @@ class PersistentPool:
                 self._tracer.event(
                     "pool.resize", {"n_from": old_n, "n_to": new_n}
                 )
-            ranks |= set(range(old_n, new_n))
-            reports: dict = {}
-            failures: dict = {}
-            for rank in sorted(ranks):
-                try:
-                    reports[rank] = self._reattach_rank(rank)
-                except WorkerError as exc:
-                    # _reattach_rank already terminated the rank, so it
-                    # is dead pending a respawn into the NEW payloads —
-                    # keep going: the other changed ranks must not be
-                    # stranded on their old state.
-                    failures[rank] = exc
-            if failures:
-                raise failures[min(failures)]
-            return reports
-
-    def _reattach_rank(self, rank: int) -> Tuple[Any, float, float]:
-        """Send the remembered ATTACH to one rank (spawning it first
-        when the slot is empty), with the standard retry budget."""
-        attempts = 0
-        while True:
-            deadline = time.monotonic() + self.timeout
-            try:
-                channel = self._channels[rank]
-                if channel is not None and not channel.alive:
-                    # Dead slot: _respawn replays the (new) attach itself.
-                    report = self._respawn(rank, deadline)
-                    if report is None:  # unreachable: _attach is set
-                        raise WorkerError(
-                            f"no attach recorded for rank {rank}", rank=rank
-                        )
-                    return report
-                if channel is None:
-                    # Fresh slot from pool growth: plain spawn, no
-                    # respawn accounting — nothing died here.
-                    self._spawn(rank)
-                fn, payloads = self._attach
-                self._channels[rank].send((_ATTACH, fn, payloads[rank]))
-                return self._receive(rank, deadline)
-            except WorkerError as exc:
-                failure = exc
-            except (BrokenPipeError, OSError) as exc:
-                failure = WorkerError(
-                    f"worker {rank} died during re-attach: {exc}", rank=rank
+            ranks = sorted(ranks | set(range(old_n, new_n)))
+            result = self._run(self._start_round(_ATTACH, fn, payloads, ranks))
+            return {
+                rank: (
+                    result.results[rank],
+                    result.wall_times[rank],
+                    result.cpu_times[rank],
                 )
-            attempts += 1
-            if attempts > self.max_retries:
-                failure.rank = rank
-                failure.retries = attempts - 1
-                # A failed attach may leave the worker alive but
-                # holding its OLD resident state; kill it so the next
-                # respawn replays the new payload instead.
-                channel = self._channels[rank]
-                if channel is not None:
-                    channel.terminate_quietly()
-                raise failure
-            delay = self.backoff_s * (2 ** (attempts - 1))
-            if self._tracer.enabled:
-                self._tracer.event(
-                    "retry",
-                    {
-                        "rank": rank,
-                        "attempt": attempts,
-                        "command": _ATTACH,
-                        "dead": True,
-                    },
-                )
-                self._tracer.event("backoff", {"rank": rank, "delay_s": delay})
-            if delay > 0:
-                time.sleep(delay)
-            # The failed worker cannot be resynchronized: kill it so the
-            # next attempt takes the respawn path.
-            channel = self._channels[rank]
-            if channel is not None:
-                channel.terminate_quietly()
+                for rank in ranks
+            }
 
     def run_batch(
         self, fn: Callable[[int, int, Any, Any], Any], payloads: Sequence[Any]
@@ -821,74 +822,266 @@ class PersistentPool:
             )
         payloads = list(payloads)
         with self._round_lock:
-            return self._dispatch_locked(command, fn, payloads)
-
-    def _dispatch_locked(
-        self, command: str, fn: Callable, payloads: List[Any]
-    ) -> RoundHandle:
-        # Re-check under the lock: a concurrent close() that won the
-        # lock first has already torn the pipes down.
-        self._check_open()
-        if self._inflight is not None and self._inflight.pending:
-            raise PipelineError(
-                "a round is already on the pipe; collect() its handle "
-                "before dispatching the next one"
+            # Re-check under the lock: a concurrent close() that won
+            # the lock first has already torn the pipes down.
+            self._check_open()
+            if self._inflight is not None and self._inflight.pending:
+                raise PipelineError(
+                    "a round is already on the pipe; collect() its handle "
+                    "before dispatching the next one"
+                )
+            handle = self._start_round(
+                command, fn, payloads, range(self.n_workers)
             )
-        dispatched_at = time.monotonic()
-        deadline = dispatched_at + self.timeout
-        respawned = self._ensure_alive(deadline)
-        dispatched: List[int] = []
-        # Each distinct payload object is pickled once and its buffer
-        # reused for every rank that receives it — for the service's
-        # shared per-batch command that is one pickle for the whole
-        # scatter, and the measured bytes are the actual pipe traffic.
-        buffers: dict[int, bytes] = {}
-        scatter_bytes = 0
-        for rank in range(self.n_workers):
-            try:
-                payload = payloads[rank]
-                buf = buffers.get(id(payload))
-                if buf is None:
-                    buf = bytes(ForkingPickler.dumps((command, fn, payload)))
-                    buffers[id(payload)] = buf
-                self._channels[rank].send_bytes(buf)
-                scatter_bytes += len(buf)
-            except (BrokenPipeError, OSError):
-                # Died between the liveness check and the send: one
-                # respawn attempt, then give up on the round.
-                try:
-                    self._respawn(rank, deadline)
-                    respawned += 1
-                    self._channels[rank].send_bytes(buf)
-                    scatter_bytes += len(buf)
-                except (WorkerError, BrokenPipeError, OSError) as exc:
-                    # Aborting mid-scatter would leave the ranks already
-                    # dispatched with undrained replies — stale messages
-                    # that a later round would misread as its own
-                    # results.  Kill them instead; the next round
-                    # respawns everything with clean pipes.
-                    self._abort_dispatched(dispatched)
-                    raise WorkerError(
-                        f"worker {rank} died immediately after respawn: {exc}",
-                        rank=rank,
-                    ) from None
-                except BaseException:
-                    self._abort_dispatched(dispatched)
-                    raise
-            except BaseException:
-                # Any other scatter failure (e.g. an unpicklable payload
-                # raising TypeError in ForkingPickler.dumps) aborts the
-                # scatter the same way — dispatched ranks must never be
-                # left with undrained replies.
-                self._abort_dispatched(dispatched)
-                raise
-            dispatched.append(rank)
-        handle = RoundHandle(
-            self, command, deadline, respawned, scatter_bytes,
-            fn, payloads, dispatched_at,
+            self._inflight = handle
+            return handle
+
+    def _start_round(
+        self,
+        command: str,
+        fn: Callable,
+        payloads: List[Any],
+        ranks: Sequence[int],
+    ) -> RoundHandle:
+        """Pickle the round's payloads, then start one attempt per rank."""
+        # The soft straggler deadline arms for QUERY rounds only, and
+        # needs attach state to clone (a hedge must attach first).
+        hedge_after = (
+            self.hedge_after
+            if command == _QUERY and self._attach is not None
+            else None
         )
-        self._inflight = handle
+        handle = RoundHandle(self, command, fn, payloads, hedge_after)
+        # Each distinct payload object is pickled once, before the first
+        # send, and its buffer reused for every rank that receives it —
+        # for the service's shared per-batch command that is one pickle
+        # for the whole scatter, and an unpicklable payload raises here
+        # with nothing on the pipes.
+        pickled: Dict[int, bytes] = {}
+        for rank in ranks:
+            payload = payloads[rank]
+            buf = pickled.get(id(payload))
+            if buf is None:
+                buf = bytes(ForkingPickler.dumps((command, fn, payload)))
+                pickled[id(payload)] = buf
+            handle._buffers[rank] = buf
+            handle.scatter_bytes += len(buf)
+        try:
+            for rank in ranks:
+                self._start(handle, rank)
+        except BaseException:
+            # E.g. a worker that could not be spawned: the ranks already
+            # sent the command must not keep replies a later round
+            # would misread as its own.
+            handle._stop_live()
+            raise
         return handle
+
+    # -- the attempt loop ------------------------------------------------
+
+    def _event(self, handle: RoundHandle, kind: str, rank: int, **attrs) -> None:
+        """Emit one supervision event (call only when tracer.enabled)."""
+        batch = _payload_batch(handle.payloads[rank])
+        if batch is not None:
+            attrs["batch"] = batch
+        attrs["rank"] = rank
+        self._tracer.event(kind, attrs)
+
+    def _start(self, handle: RoundHandle, rank: int, hedge: bool = False) -> None:
+        """Start one attempt at ``rank``'s command in ``handle``'s round.
+
+        A live resident worker gets the command re-sent.  A dead or
+        empty slot, or a hedge, gets a fresh worker, sent the recorded
+        ATTACH (in a QUERY round) and the command back to back.  A
+        fresh worker replacing a dead one counts as a respawn and is
+        installed as the rank's resident at once; a hedge only when
+        it answers first.
+        """
+        resident = self._channels[rank]
+        channel = resident
+        if hedge or resident is None or not resident.alive:
+            channel = self._spawn(rank, "hedge" if hedge else "resident")
+            if hedge:
+                handle._hedged += 1
+                if self._tracer.enabled:
+                    self._event(handle, "hedge.launch", rank)
+            else:
+                self._channels[rank] = channel
+                if resident is not None:
+                    resident.stop()
+                    self._respawn_total += 1
+                    handle.respawned += 1
+                    if self._tracer.enabled:
+                        self._tracer.event("respawn", {"rank": rank})
+        first = handle._tries[rank] == 0 and not hedge
+        attempt = _Attempt(
+            rank,
+            channel,
+            hedge,
+            channel is not resident
+            and handle.command == _QUERY
+            and self._attach is not None,
+            handle.dispatched_at if first else time.monotonic(),
+            self.timeout,
+        )
+        try:
+            if attempt.owes_attach:
+                attach_fn, attach_payloads = self._attach
+                channel.send((_ATTACH, attach_fn, attach_payloads[rank]))
+            channel.send_bytes(handle._buffers[rank])
+        except (BrokenPipeError, OSError):
+            # The worker is already gone: the loop sees the death and
+            # takes the failed transition.
+            channel.terminate_quietly()
+        handle._live.append(attempt)
+
+    def _answered(
+        self, handle: RoundHandle, attempt: _Attempt, reply: Tuple[Any, float, float]
+    ) -> None:
+        """First answer wins: the attempt's worker becomes the rank's
+        resident worker and every rival attempt is stopped, so a late
+        duplicate can never merge."""
+        rank = attempt.rank
+        for rival in [a for a in handle._live if a.rank == rank]:
+            handle._live.remove(rival)
+            if rival is attempt:
+                continue
+            rival.channel.stop()
+            if rival.hedge and self._tracer.enabled:
+                self._event(handle, "hedge.loss", rank, winner="original")
+        resident = self._channels[rank]
+        if attempt.channel is not resident:
+            # A hedge won: it holds full attach state, so it replaces
+            # the superseded original as the rank's worker.
+            if resident is not None:
+                resident.stop()
+            self._channels[rank] = attempt.channel
+            self._respawn_total += 1
+            handle.respawned += 1
+            if self._tracer.enabled:
+                self._event(handle, "hedge.win", rank)
+        result, wall, cpu = reply
+        # Worker spans are offsets from the attempt's own command start;
+        # the master anchors them at the round's dispatch, so shift them
+        # to where this attempt really ran.
+        shift = attempt.started - handle.dispatched_at
+        if shift and isinstance(result, dict) and result.get("spans"):
+            result["spans"] = tuple(
+                (name, rel + shift, dur) for name, rel, dur in result["spans"]
+            )
+        handle._results[rank] = result
+        handle._walls[rank] = wall
+        handle._cpus[rank] = cpu
+        handle._errors.pop(rank, None)
+
+    def _failed(
+        self, handle: RoundHandle, attempt: _Attempt, exc: WorkerError
+    ) -> None:
+        """A failed hedge is dropped.  A failed primary attempt spends
+        one unit of the rank's budget and starts the next attempt after
+        the backoff — re-sending to the live worker after a raise in a
+        QUERY, on a fresh worker otherwise — or, budget spent, records
+        the rank's error (which a still-racing hedge can yet undo)."""
+        handle._live.remove(attempt)
+        rank = attempt.rank
+        if attempt.hedge:
+            attempt.channel.stop()
+            if self._tracer.enabled:
+                self._event(handle, "hedge.loss", rank, winner="none")
+            return
+        if attempt.owes_attach or handle.command == _ATTACH:
+            # A failed attach leaves the worker without usable state (or
+            # with the old one): leave the rank dead so its next
+            # attempt replays the attach.
+            attempt.channel.terminate_quietly()
+        dead = not attempt.channel.alive
+        handle._tries[rank] += 1
+        tries = handle._tries[rank]
+        if tries > self.max_retries:
+            exc.rank = rank
+            exc.retries = tries - 1
+            handle._errors[rank] = exc
+            return
+        handle._retries += 1
+        delay = self.backoff_s * (2 ** (tries - 1))
+        if self._tracer.enabled:
+            self._event(
+                handle, "retry", rank,
+                attempt=tries, command=handle.command, dead=dead,
+            )
+            self._event(handle, "backoff", rank, delay_s=delay)
+        if delay > 0:
+            time.sleep(delay)
+        self._start(handle, rank)
+
+    def _run(self, handle: RoundHandle) -> PoolBatchResult:
+        """Drive the round's attempts until each rank answered or spent
+        its budget, then finish it one way: full result, degraded
+        partial result, or the lowest failing rank's error."""
+        live = handle._live
+        try:
+            while live:
+                now = time.monotonic()
+                # Hard per-attempt deadlines: a stuck worker cannot be
+                # resynchronized — kill it, then fail it as a death.
+                for attempt in sorted(live, key=_attempt_order):
+                    if now >= attempt.deadline:
+                        attempt.channel.terminate_quietly()
+                        self._failed(handle, attempt, WorkerError(
+                            f"worker {attempt.rank} exceeded the resident "
+                            f"round deadline ({self.timeout:.0f}s) and was "
+                            f"terminated",
+                            rank=attempt.rank,
+                        ))
+                # Soft straggler deadline: one hedge per still-outstanding
+                # rank, once per round.
+                if handle._hedge_at is not None and now >= handle._hedge_at:
+                    handle._hedge_at = None
+                    for rank in sorted({attempt.rank for attempt in live}):
+                        self._start(handle, rank, hedge=True)
+                if not live:
+                    break
+                wakeups = [attempt.deadline for attempt in live]
+                if handle._hedge_at is not None:
+                    wakeups.append(handle._hedge_at)
+                connection.wait(
+                    [w for attempt in live for w in attempt.channel.wait_objects()],
+                    timeout=max(0.0, min(wakeups) - time.monotonic()),
+                )
+                for attempt in sorted(live, key=_attempt_order):
+                    if attempt not in live:
+                        continue  # a rival answered first in this pass
+                    reply = attempt.read(self.timeout)
+                    if isinstance(reply, WorkerError):
+                        self._failed(handle, attempt, reply)
+                    elif reply is not None:
+                        self._answered(handle, attempt, reply)
+        finally:
+            # No attempt outlives its round, whatever path exits it.
+            handle._stop_live()
+        failures = handle._errors
+        result = PoolBatchResult(
+            results=handle._results,
+            wall_times=handle._walls,
+            cpu_times=handle._cpus,
+            respawned=handle.respawned,
+            scatter_bytes=handle.scatter_bytes,
+            retries=handle._retries,
+            hedged=handle._hedged,
+            failed_ranks=tuple(sorted(failures)),
+        )
+        if failures and not (self.degraded_ok and handle.command == _QUERY):
+            # Healthy workers have been drained, so the pipes stay in
+            # request/response sync; dead ones respawn next round.  The
+            # lowest failing rank is surfaced deterministically, not
+            # whichever reply happened to arrive first.
+            raise failures[min(failures)]
+        if self._tracer.enabled:
+            for rank in result.failed_ranks:
+                self._event(
+                    handle, "degraded.rank", rank, retries=failures[rank].retries
+                )
+        return result
 
     def _collect(self, handle: RoundHandle) -> PoolBatchResult:
         with self._round_lock:
@@ -904,7 +1097,7 @@ class PersistentPool:
                     "stale round handle: a newer round has been dispatched"
                 )
             try:
-                return self._collect_locked(handle)
+                return self._run(handle)
             finally:
                 # Success or WorkerError, the round is off the pipe:
                 # healthy workers were drained, dead ones respawn on
@@ -912,394 +1105,11 @@ class PersistentPool:
                 handle._collected = True
                 self._inflight = None
 
-    def _collect_locked(self, handle: RoundHandle) -> PoolBatchResult:
-        """Supervised gather: drain replies, retry failed ranks, hedge
-        stragglers, and finish the round one way — full result, partial
-        (degraded) result, or the lowest failing rank's error."""
-        results: List[Any] = [None] * self.n_workers
-        walls = [0.0] * self.n_workers
-        cpus = [0.0] * self.n_workers
-        pending = set(range(self.n_workers))
-        deadlines = {rank: handle.deadline for rank in pending}
-        attempts = {rank: 0 for rank in pending}
-        failures: dict[int, WorkerError] = {}
-        provisional: dict[int, WorkerError] = {}  # awaiting an outstanding hedge
-        resolved: set[int] = set()
-        hedges: dict[int, _Hedge] = {}
-        counters = {"retries": 0, "respawns": 0, "hedged": 0}
-        tracer = self._tracer
 
-        def trace_event(kind: str, rank: int, **attrs) -> None:
-            """Emit one supervision event (call only when tracer.enabled)."""
-            batch = _payload_batch(handle.payloads[rank])
-            if batch is not None:
-                attrs["batch"] = batch
-            attrs["rank"] = rank
-            tracer.event(kind, attrs)
-        # The soft straggler deadline arms once per round, QUERY only,
-        # and needs attach state to clone (a hedge must re-attach).
-        hedge_at: Optional[float] = None
-        if (
-            self.hedge_after is not None
-            and handle.command == _QUERY
-            and self._attach is not None
-        ):
-            hedge_at = handle.dispatched_at + self.hedge_after
-
-        def rank_resolved(rank: int) -> None:
-            """The original worker answered: first answer wins — a
-            still-racing hedge is terminated so its late duplicate can
-            never merge."""
-            resolved.add(rank)
-            hedge = hedges.pop(rank, None)
-            if hedge is not None:
-                hedge.channel.stop()
-                if tracer.enabled:
-                    trace_event("hedge.loss", rank, winner="original")
-
-        def promote_hedge(rank: int, hedge: _Hedge, message) -> None:
-            """The hedge answered first: take its result and install it
-            as the rank's resident worker (it holds full attach state);
-            the superseded original is terminated."""
-            _, result, wall, cpu = message
-            # The winner's reply spans are offsets from *its* query
-            # start (after its own attach), not from the round's
-            # dispatch — shift them so merge-time re-anchoring (which
-            # adds the round's dispatch time) lands them where the
-            # hedge really ran.  Without this, a hedged rank's
-            # worker.query span would overlap the straggler's stall.
-            if hedge.query_anchor is not None and isinstance(result, dict):
-                spans = result.get("spans")
-                if spans:
-                    shift = hedge.query_anchor - handle.dispatched_at
-                    result["spans"] = tuple(
-                        (name, rel + shift, dur) for name, rel, dur in spans
-                    )
-            original = self._channels[rank]
-            if original is not None:
-                original.stop()
-            self._channels[rank] = hedge.channel
-            self._respawn_total += 1
-            counters["respawns"] += 1
-            results[rank], walls[rank], cpus[rank] = result, wall, cpu
-            resolved.add(rank)
-            pending.discard(rank)
-            provisional.pop(rank, None)
-            failures.pop(rank, None)
-            del hedges[rank]
-            if tracer.enabled:
-                trace_event("hedge.win", rank)
-
-        def launch_hedge(rank: int) -> None:
-            fn_attach, attach_payloads = self._attach
-            channel = self._transport.spawn(
-                _persistent_worker_entry,
-                (rank, self.n_workers, self._fault_plan),
-                name=f"repro-hedge-{rank}",
-            )
-            try:
-                # Attach and query back-to-back; the worker answers the
-                # attach report first, then the query result.
-                channel.send((_ATTACH, fn_attach, attach_payloads[rank]))
-                channel.send_bytes(
-                    bytes(
-                        ForkingPickler.dumps(
-                            (handle.command, handle.fn, handle.payloads[rank])
-                        )
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                channel.stop()
-                return
-            hedges[rank] = _Hedge(channel, time.monotonic() + self.timeout)
-            counters["hedged"] += 1
-            if tracer.enabled:
-                trace_event("hedge.launch", rank)
-
-        def hedge_failed(rank: int) -> None:
-            """A hedge crashed, raised, or timed out: discard it; the
-            rank keeps riding its original worker unless that already
-            failed permanently, in which case the failure lands now."""
-            hedge = hedges.pop(rank)
-            hedge.channel.stop()
-            if tracer.enabled:
-                trace_event("hedge.loss", rank, winner="none")
-            if rank in provisional:
-                failures[rank] = provisional.pop(rank)
-
-        def fail_rank(rank: int, exc: WorkerError, dead: bool) -> None:
-            """Retry the rank with exponential backoff, or record its
-            permanent failure (deferred while a hedge still races)."""
-            while True:
-                # Trust liveness over the caller's flag: a dead worker's
-                # pipe polls readable (EOF), so its failure arrives via
-                # _consume like a raise — re-sending to it would burn a
-                # retry on a broken pipe.
-                channel = self._channels[rank]
-                if channel is None or not channel.alive:
-                    dead = True
-                attempts[rank] += 1
-                if attempts[rank] > self.max_retries:
-                    exc.rank = rank
-                    exc.retries = attempts[rank] - 1
-                    if rank in hedges:
-                        provisional[rank] = exc
-                    else:
-                        failures[rank] = exc
-                    return
-                counters["retries"] += 1
-                delay = self.backoff_s * (2 ** (attempts[rank] - 1))
-                if tracer.enabled:
-                    trace_event(
-                        "retry",
-                        rank,
-                        attempt=attempts[rank],
-                        command=handle.command,
-                        dead=dead,
-                    )
-                    trace_event("backoff", rank, delay_s=delay)
-                if delay > 0:
-                    time.sleep(delay)
-                try:
-                    if dead:
-                        report = self._respawn(
-                            rank, time.monotonic() + self.timeout
-                        )
-                        counters["respawns"] += 1
-                        if handle.command == _ATTACH and report is not None:
-                            # The replayed attach IS the retried work.
-                            results[rank], walls[rank], cpus[rank] = report
-                            rank_resolved(rank)
-                            return
-                    self._channels[rank].send_bytes(
-                        bytes(
-                            ForkingPickler.dumps(
-                                (handle.command, handle.fn, handle.payloads[rank])
-                            )
-                        )
-                    )
-                    deadlines[rank] = time.monotonic() + self.timeout
-                    pending.add(rank)
-                    return
-                except WorkerError as retry_exc:
-                    exc, dead = retry_exc, True
-                except (BrokenPipeError, OSError) as pipe_exc:
-                    exc = WorkerError(
-                        f"worker {rank} died during retry re-dispatch: "
-                        f"{pipe_exc}",
-                        rank=rank,
-                    )
-                    dead = True
-
-        try:
-            while pending or hedges:
-                now = time.monotonic()
-                # Hard per-rank deadlines: a stuck worker cannot be
-                # resynchronized — kill it, then retry as a death.
-                for rank in sorted(pending):
-                    if now >= deadlines[rank]:
-                        self._channels[rank].terminate_quietly()
-                        pending.discard(rank)
-                        fail_rank(
-                            rank,
-                            WorkerError(
-                                f"worker {rank} exceeded the resident round "
-                                f"deadline ({self.timeout:.0f}s) and was "
-                                f"terminated",
-                                rank=rank,
-                            ),
-                            dead=True,
-                        )
-                for rank in sorted(hedges):
-                    if now >= hedges[rank].deadline:
-                        hedge_failed(rank)
-                # Soft straggler deadline: one speculative duplicate
-                # per still-outstanding rank, once per round.
-                if hedge_at is not None and now >= hedge_at:
-                    for rank in sorted(pending - set(hedges)):
-                        launch_hedge(rank)
-                    hedge_at = None
-                if not pending and not hedges:
-                    break
-                wakeups = [deadlines[rank] for rank in pending]
-                wakeups.extend(hedge.deadline for hedge in hedges.values())
-                if hedge_at is not None:
-                    wakeups.append(hedge_at)
-                waitees: List[Any] = []
-                for rank in pending:
-                    waitees.extend(self._channels[rank].wait_objects())
-                for hedge in hedges.values():
-                    waitees.extend(hedge.channel.wait_objects())
-                connection.wait(
-                    waitees, timeout=max(0.0, min(wakeups) - time.monotonic())
-                )
-                for rank in sorted(pending):
-                    channel = self._channels[rank]
-                    if channel.poll():
-                        failure = self._consume(rank, results, walls, cpus)
-                        pending.discard(rank)
-                        if failure is None:
-                            rank_resolved(rank)
-                        else:
-                            fail_rank(rank, failure, dead=False)
-                    elif not channel.alive:
-                        channel.join()
-                        if channel.poll():
-                            failure = self._consume(rank, results, walls, cpus)
-                            pending.discard(rank)
-                            if failure is None:
-                                rank_resolved(rank)
-                            else:
-                                fail_rank(rank, failure, dead=False)
-                        else:
-                            pending.discard(rank)
-                            fail_rank(
-                                rank,
-                                WorkerError(
-                                    f"worker {rank} died mid-batch without "
-                                    f"reporting (exit code "
-                                    f"{channel.exitcode})",
-                                    rank=rank,
-                                    exit_code=channel.exitcode,
-                                ),
-                                dead=True,
-                            )
-                for rank in sorted(hedges):
-                    hedge = hedges.get(rank)
-                    while hedge is not None and rank in hedges:
-                        if hedge.channel.poll():
-                            try:
-                                message = hedge.channel.recv()
-                            except (EOFError, OSError):
-                                hedge_failed(rank)
-                                break
-                            if message[0] == "error":
-                                hedge_failed(rank)
-                                break
-                            if not hedge.attach_done:
-                                hedge.attach_done = True
-                                hedge.query_anchor = time.monotonic()
-                                continue  # the query reply may follow
-                            if rank in resolved:
-                                # First answer already won; the hedge's
-                                # late duplicate must never merge.
-                                hedge_failed(rank)
-                                break
-                            promote_hedge(rank, hedge, message)
-                            break
-                        if not hedge.channel.alive:
-                            hedge.channel.join()
-                            if hedge.channel.poll():
-                                continue
-                            hedge_failed(rank)
-                            break
-                        break
-        finally:
-            # No hedge may outlive its round, whatever path exits it.
-            for rank in list(hedges):
-                hedges.pop(rank).channel.stop()
-        failures.update(provisional)
-        respawned = handle.respawned + counters["respawns"]
-        if failures:
-            if self.degraded_ok and handle.command == _QUERY:
-                if tracer.enabled:
-                    for rank in sorted(failures):
-                        trace_event(
-                            "degraded.rank",
-                            rank,
-                            retries=failures[rank].retries,
-                        )
-                return PoolBatchResult(
-                    results=results,
-                    wall_times=walls,
-                    cpu_times=cpus,
-                    respawned=respawned,
-                    scatter_bytes=handle.scatter_bytes,
-                    retries=counters["retries"],
-                    hedged=counters["hedged"],
-                    failed_ranks=tuple(sorted(failures)),
-                )
-            # Healthy workers have been drained, so the pipes stay in
-            # request/response sync; dead ones respawn next round.  The
-            # lowest failing rank is surfaced deterministically, not
-            # whichever reply happened to arrive first.
-            raise failures[min(failures)]
-        return PoolBatchResult(
-            results=results,
-            wall_times=walls,
-            cpu_times=cpus,
-            respawned=respawned,
-            scatter_bytes=handle.scatter_bytes,
-            retries=counters["retries"],
-            hedged=counters["hedged"],
-        )
-
-    def _abort_dispatched(self, dispatched: List[int]) -> None:
-        """Kill ranks whose command was already sent in an aborted
-        scatter — their replies would desync the next round."""
-        for rank in dispatched:
-            self._channels[rank].terminate_quietly()
-
-    def _consume(
-        self, rank: int, results, walls, cpus
-    ) -> Optional[WorkerError]:
-        """Read one reply; return (not raise) a failure so the round
-        can keep draining the other workers before surfacing it."""
-        channel = self._channels[rank]
-        try:
-            message = channel.recv()
-        except (EOFError, OSError):
-            channel.join()
-            return WorkerError(
-                f"worker {rank} died mid-batch without reporting "
-                f"(exit code {channel.exitcode})",
-                rank=rank,
-                exit_code=channel.exitcode,
-            )
-        if message[0] == "error":
-            _, summary, remote_tb = message
-            return WorkerError(
-                f"worker {rank} raised {summary}\n"
-                f"--- remote traceback ---\n{remote_tb}",
-                rank=rank,
-            )
-        _, result, wall, cpu = message
-        results[rank] = result
-        walls[rank] = wall
-        cpus[rank] = cpu
-        return None
-
-    def _receive(self, rank: int, deadline: float) -> Tuple[Any, float, float]:
-        """Await one rank's reply (used for replayed ATTACH rounds);
-        returns ``(result, wall, cpu)``."""
-        channel = self._channels[rank]
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                channel.terminate_quietly()
-                raise WorkerError(
-                    f"worker {rank} exceeded the deadline while re-attaching",
-                    rank=rank,
-                )
-            connection.wait(channel.wait_objects(), timeout=remaining)
-            if channel.poll():
-                results = [None] * self.n_workers
-                walls = [0.0] * self.n_workers
-                cpus = [0.0] * self.n_workers
-                failure = self._consume(rank, results, walls, cpus)
-                if failure is not None:
-                    raise failure
-                return results[rank], walls[rank], cpus[rank]
-            if not channel.alive:
-                channel.join()
-                if channel.poll():
-                    continue
-                raise WorkerError(
-                    f"worker {rank} died while re-attaching "
-                    f"(exit code {channel.exitcode})",
-                    rank=rank,
-                    exit_code=channel.exitcode,
-                )
+def _attempt_order(attempt: _Attempt) -> Tuple[int, bool]:
+    """Rank order, a rank's primary attempt before its hedge — so the
+    original wins a tie with its hedge."""
+    return attempt.rank, attempt.hedge
 
 
 def _reap_pool(channels) -> None:

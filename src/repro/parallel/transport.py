@@ -1,21 +1,18 @@
-"""Pluggable worker transports: how pool workers are spawned and reached.
+"""Worker channels: how the resident pool reaches its workers.
 
 The resident pool (:mod:`repro.parallel.persistent`) — the one
-real-process execution core — never constructs ``multiprocessing``
-pipes or processes itself, so the layers above it (service, sharded
-serving tier) are not welded to one bootstrap mechanism.  This module
-is that seam, in the style of chainermn's communicator registry: the
-pool speaks to a :class:`WorkerChannel` (send a command, receive a
-reply, observe liveness) and a named :class:`Transport` decides what
-is behind it — an in-process ``multiprocessing`` pipe today
-(:class:`PipeTransport`), a socket to a remote host tomorrow, without
-touching the supervision or routing layers.
+real-process execution core — speaks to each worker only through a
+:class:`WorkerChannel` (send a command, receive a reply, observe
+liveness, tear down), so its supervision loop is not welded to
+``multiprocessing``.  :func:`spawn_worker` starts a local worker on a
+duplex OS pipe of a ``multiprocessing`` context; a worker reached over
+a socket would back the same channel API.
 
-Contract every transport must honor (what the pool's crash/deadline
+Contract every channel must honor (what the pool's crash/deadline
 supervision is written against):
 
-* :meth:`Transport.spawn` returns a channel whose worker is already
-  running its command loop,
+* the worker behind a freshly spawned channel is already running its
+  command loop,
 * a dead worker is observable **without blocking**: its
   ``wait_objects()`` become ready, ``alive`` turns false, and reading
   the channel raises ``EOFError``/``OSError`` — never hangs,
@@ -25,29 +22,19 @@ supervision is written against):
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from typing import Any, Callable, Dict, Tuple, Type
+from typing import Any, Callable, Tuple
 
-from repro.errors import ConfigurationError
-
-__all__ = [
-    "WorkerChannel",
-    "Transport",
-    "PipeTransport",
-    "TRANSPORTS",
-    "register_transport",
-    "make_transport",
-]
+__all__ = ["WorkerChannel", "spawn_worker"]
 
 
 class WorkerChannel:
     """One live worker endpoint: a process handle plus its message pipe.
 
-    The pool never touches ``multiprocessing`` primitives directly —
-    everything it needs (scatter a command, drain a reply, watch for
-    death, tear down) is on this object, so a transport that backs it
-    with something other than a local spawn process only has to
-    provide the same observable behavior.
+    The pool's supervision never touches the process or the pipe
+    directly — everything it needs (scatter a command, drain a reply,
+    watch for death, tear down) is on this object, so a channel backed
+    by something other than a local spawn process only has to provide
+    the same observable behavior.
     """
 
     __slots__ = ("proc", "pipe")
@@ -131,101 +118,24 @@ class WorkerChannel:
         self.close()
 
 
-class Transport:
-    """How a pool bootstraps workers and reaches them.
+def spawn_worker(
+    ctx: Any, target: Callable, args: Tuple = (), *, name: str
+) -> WorkerChannel:
+    """Start one daemon worker running ``target(conn, *args)``.
 
-    Subclasses implement :meth:`spawn`; everything else the pool does
-    goes through the returned :class:`WorkerChannel`.  Register new
-    transports in :data:`TRANSPORTS` (or via :func:`register_transport`)
-    and select them by name — the service/sharding layers carry the
-    name, never the mechanics.
+    ``ctx`` is the ``multiprocessing`` context (its start method)
+    the worker process and its duplex pipe come from; ``conn`` is the
+    worker's end of the pipe and the returned channel the master's.
     """
-
-    #: Registry key (subclasses override).
-    name = "abstract"
-
-    def spawn(
-        self,
-        target: Callable,
-        args: Tuple = (),
-        *,
-        name: str,
-    ) -> WorkerChannel:
-        """Start one worker running ``target(conn, *args)``.
-
-        The transport constructs the duplex channel endpoint handed to
-        the worker as its first argument; the returned
-        :class:`WorkerChannel` is the master's end.
-        """
-        raise NotImplementedError
-
-
-class PipeTransport(Transport):
-    """Local ``multiprocessing`` workers on duplex OS pipes (default).
-
-    Parameters
-    ----------
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` (default) imports a
-        fresh interpreter per worker — slower to start but immune to
-        inherited locks/threads, and identical across platforms.
-    """
-
-    name = "pipe"
-
-    def __init__(self, start_method: str = "spawn") -> None:
-        if start_method not in mp.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} not available "
-                f"(have {mp.get_all_start_methods()})"
-            )
-        self.start_method = start_method
-        self._ctx = mp.get_context(start_method)
-
-    def spawn(
-        self,
-        target: Callable,
-        args: Tuple = (),
-        *,
-        name: str,
-    ) -> WorkerChannel:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=target,
-            args=(child_conn, *args),
-            name=name,
-            daemon=True,
-        )
-        proc.start()
-        # Drop the master's copy of the child end so a dead worker
-        # reads as EOF/sentinel, never as an open idle pipe.
-        child_conn.close()
-        return WorkerChannel(proc, parent_conn)
-
-
-#: Name → transport class.  ``pipe`` is the in-process default; a
-#: socket transport slots in here without touching the pool.
-TRANSPORTS: Dict[str, Type[Transport]] = {PipeTransport.name: PipeTransport}
-
-
-def register_transport(cls: Type[Transport]) -> Type[Transport]:
-    """Add ``cls`` to :data:`TRANSPORTS` under its ``name`` (decorator)."""
-    TRANSPORTS[cls.name] = cls
-    return cls
-
-
-def make_transport(
-    spec: "str | Transport", *, start_method: str = "spawn"
-) -> Transport:
-    """Resolve a transport: an instance passes through, a name is
-    looked up in :data:`TRANSPORTS` and constructed with
-    ``start_method``."""
-    if isinstance(spec, Transport):
-        return spec
-    try:
-        cls = TRANSPORTS[spec]
-    except (KeyError, TypeError):
-        raise ConfigurationError(
-            f"unknown transport {spec!r} (have {sorted(TRANSPORTS)})"
-        ) from None
-    return cls(start_method=start_method)
+    parent_conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(
+        target=target,
+        args=(child_conn, *args),
+        name=name,
+        daemon=True,
+    )
+    proc.start()
+    # Drop the master's copy of the child end so a dead worker
+    # reads as EOF/sentinel, never as an open idle pipe.
+    child_conn.close()
+    return WorkerChannel(proc, parent_conn)

@@ -184,6 +184,14 @@ def resident_attach(rank: int, size: int, payload) -> tuple:
     }
 
 
+def resident_attach_logged(rank: int, size: int, payload: str) -> tuple:
+    """ATTACH body that appends ``"<rank> <pid>"`` to the log file named
+    by ``payload`` — counts the ATTACH commands each worker ran."""
+    with open(payload, "a", encoding="ascii") as log:
+        log.write(f"{rank} {os.getpid()}\n")
+    return resident_attach(rank, size, payload)
+
+
 def resident_echo(rank: int, size: int, state, payload) -> tuple:
     """QUERY body proving state survives batches: echo state + payload."""
     return rank, state["payload"], payload, state["pid"], os.getpid()

@@ -260,7 +260,8 @@ class ServiceConfig:
     start_method:
         ``multiprocessing`` start method for the resident workers.
     timeout:
-        Real-seconds deadline per pool round (attach or batch).
+        Real-seconds deadline per worker command (attach or batch);
+        a retry or hedge gets a fresh one.
     max_pending:
         Bound on concurrently admitted batches (queued + in flight
         through the pipeline); further ``submit_async()`` callers are
@@ -280,10 +281,6 @@ class ServiceConfig:
         Chaos-testing fault schedule for the workers (tests only;
         production sessions leave it ``None`` and may use the
         ``REPRO_FAULT_PLAN`` env var instead).
-    transport:
-        Worker bootstrap mechanism for the resident pool — a
-        :mod:`repro.parallel.transport` registry name (default
-        ``"pipe"``: local spawn workers on OS pipes).
     tracer:
         Observability sink (:mod:`repro.obs`): pipeline-stage spans,
         per-rank worker spans, the per-batch summary event, and every
@@ -344,7 +341,6 @@ class ServiceConfig:
     hedge_after: Optional[float] = None
     degraded_ok: bool = False
     fault_plan: Optional[FaultPlan] = None
-    transport: str = "pipe"
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry = field(default_factory=global_registry)
     flight_recorder: bool = True
@@ -961,7 +957,6 @@ class SearchService:
             hedge_after=cfg.hedge_after,
             degraded_ok=cfg.degraded_ok,
             fault_plan=cfg.fault_plan,
-            transport=cfg.transport,
             tracer=self._tracer,
         )
         try:

@@ -15,6 +15,7 @@ deadline-kill → respawn → re-dispatch path is exercised in seconds,
 not the production timeout.
 """
 
+import json
 import os
 import time
 
@@ -23,7 +24,12 @@ import pytest
 from repro.errors import ConfigurationError, WorkerError
 from repro.parallel import FaultInjected, FaultPlan, FaultSpec, PersistentPool, maybe_inject
 from repro.parallel.faults import FAULT_PLAN_ENV
-from repro.parallel.worker import resident_attach, resident_echo
+from repro.obs import JsonlTracer, MetricsRegistry
+from repro.parallel.worker import (
+    resident_attach,
+    resident_attach_logged,
+    resident_echo,
+)
 from repro.search.report import read_psm_report, write_psm_report
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
@@ -271,6 +277,139 @@ def test_pool_degraded_round_masks_failed_rank():
         assert res.results[0][:3] == (0, "a", "x")
     finally:
         pool.close()
+
+
+def test_respawn_at_attach_dispatch_attaches_once(tmp_path):
+    """A rank that died before the ATTACH round runs exactly one ATTACH
+    on its replacement — not a replayed attach plus the round's own."""
+    plan = FaultPlan.scoped(FaultSpec(kind="crash", stage="spawn", rank=1))
+    log = tmp_path / "attach.log"
+    pool = PersistentPool(2, timeout=60.0, max_retries=1, backoff_s=0.01,
+                          fault_plan=plan)
+    try:
+        doomed = pool._channels[1].proc
+        doomed.join(timeout=60.0)
+        assert not doomed.is_alive()
+        res = pool.attach(resident_attach_logged, [str(log)] * 2)
+        calls = [
+            tuple(int(v) for v in line.split())
+            for line in log.read_text().splitlines()
+        ]
+        pids = [pid for _, pid in calls]
+        assert len(pids) == len(set(pids)), calls  # one ATTACH per worker
+        assert sorted(rank for rank, _ in calls) == [0, 1]
+        assert res.respawned == 1 and res.retries == 0
+        assert [r["pid"] for r in res.results] == pool.worker_pids()
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("max_retries", [0, 2], ids=["R0", "R2"])
+def test_failed_attach_replay_at_dispatch_respects_retry_budget(
+    tmp_path, max_retries
+):
+    """Rank 1 dies between rounds and its replacement's ATTACH raises
+    once.  With a budget the round heals on one retry; without one the
+    round fails but the rank is left dead, so the next round replays
+    the attach instead of querying a worker with no state."""
+    ledger = tmp_path / "ledger"
+    ledger.mkdir()
+    plan = FaultPlan(
+        (FaultSpec(kind="raise", stage="attach", rank=1),), str(ledger)
+    )
+    # Pre-claim the once-only spec so the initial attach does not fire.
+    marker = ledger / "spec0.fired"
+    marker.write_text("disarmed\n")
+    pool = PersistentPool(2, timeout=60.0, max_retries=max_retries,
+                          backoff_s=0.01, fault_plan=plan)
+    try:
+        pool.attach(resident_attach, ["a", "b"])
+        victim = pool._channels[1].proc
+        victim.terminate()
+        victim.join(timeout=30.0)
+        marker.unlink()  # arm: the replacement's ATTACH raises once
+        if max_retries:
+            res = pool.run_batch(resident_echo, ["x", "y"])
+            assert [r[:3] for r in res.results] == [
+                (0, "a", "x"), (1, "b", "y"),
+            ]
+            assert res.retries == 1
+        else:
+            with pytest.raises(WorkerError, match="injected fault"):
+                pool.run_batch(resident_echo, ["x", "y"])
+        res = pool.run_batch(resident_echo, ["p", "q"])
+        assert [r[:3] for r in res.results] == [
+            (0, "a", "p"), (1, "b", "q"),
+        ]
+    finally:
+        pool.close()
+
+
+def _trace_records(path):
+    return [json.loads(line) for line in path.read_text("ascii").splitlines()]
+
+
+def test_retried_rank_spans_start_after_the_retry(
+    tiny_db, batches, serial_refs, tmp_path
+):
+    """A retried rank's worker spans are anchored where the retry ran,
+    not at the round's dispatch: they start after the retry event and
+    its backoff."""
+    trace = tmp_path / "retry.jsonl"
+    tracer = JsonlTracer(trace)
+    plan = FaultPlan.scoped(
+        FaultSpec(kind="crash", stage="query", rank=1, batch=1)
+    )
+    config = ServiceConfig(
+        n_workers=2, max_retries=1, retry_backoff_s=0.5, fault_plan=plan,
+        tracer=tracer, metrics=MetricsRegistry(),
+    )
+    outcomes = _run_session(tiny_db, batches, config, pipelined=False)
+    tracer.close()
+    for (results, _), reference in zip(outcomes, serial_refs):
+        assert_same_results(reference, results)
+    assert outcomes[1][1].retries == 1
+    records = _trace_records(trace)
+    (retry,) = [r for r in records if r.get("kind") == "retry"]
+    assert retry["rank"] == 1 and retry["batch"] == 1
+    (opened,) = [
+        r for r in records
+        if r.get("name") == "worker.open" and r["batch"] == 1
+        and r["rank"] == 1
+    ]
+    # The retry's worker began only after the 0.5 s backoff.
+    assert opened["ts"] > retry["ts"] + 0.4
+
+
+def test_losing_hedge_keeps_the_original_worker(
+    tiny_db, batches, serial_refs, tmp_path
+):
+    """Rank 1 straggles on batch 1 in every worker, hedges included:
+    the original's head start wins, the hedge is stopped, and rank 1
+    keeps its resident worker."""
+    trace = tmp_path / "hedge_loss.jsonl"
+    tracer = JsonlTracer(trace)
+    plan = FaultPlan.scoped(
+        FaultSpec(kind="slow", stage="query", rank=1, batch=1,
+                  seconds=1.5, once=False)
+    )
+    config = ServiceConfig(
+        n_workers=2, hedge_after=0.3, fault_plan=plan,
+        tracer=tracer, metrics=MetricsRegistry(),
+    )
+    with SearchService(tiny_db, config) as service:
+        pids = service.worker_pids()
+        outcomes = [service.submit(batch) for batch in batches]
+        assert service.worker_pids()[1] == pids[1]
+    tracer.close()
+    for (results, _), reference in zip(outcomes, serial_refs):
+        assert_same_results(reference, results)
+    stats = outcomes[1][1]
+    assert stats.hedged == 1 and stats.respawned == 0
+    events = [r for r in _trace_records(trace) if r.get("batch") == 1]
+    assert not [r for r in events if r.get("kind") == "hedge.win"]
+    (loss,) = [r for r in events if r.get("kind") == "hedge.loss"]
+    assert loss["rank"] == 1 and loss["winner"] == "original"
 
 
 # -- the fault plan itself ---------------------------------------------
